@@ -11,7 +11,7 @@ congruence: exponents of a^N mod m fold down to s + ((N - s) mod phi(m_s))
 for any base whatsoever.
 """
 
-from .arith import Factorization, factorize, gcd, is_prime, mod_pow, totient
+from .arith import Factorization, factorize, is_prime, mod_pow, totient
 from .reduction import (
     ReductionChain,
     ReductionStep,
@@ -20,6 +20,7 @@ from .reduction import (
     cofactors,
     reduce_exponent,
     reduced_pow,
+    solve,
     verify_theorem,
 )
 
@@ -33,11 +34,11 @@ __all__ = [
     "build_chain",
     "cofactors",
     "factorize",
-    "gcd",
     "is_prime",
     "mod_pow",
     "reduce_exponent",
     "reduced_pow",
+    "solve",
     "totient",
     "verify_theorem",
     "__version__",

@@ -1,4 +1,4 @@
-"""Exact integer primitives: gcd, primality, factorization, totient, powmod.
+"""Exact integer primitives: primality, factorization, totient, powmod.
 
 Everything operates on arbitrary-precision ints, is pure and deterministic,
 and never touches floating point.
@@ -16,7 +16,6 @@ __all__ = [
     "Factorization",
     "MILLER_RABIN_ROUNDS",
     "factorize",
-    "gcd",
     "is_prime",
     "mod_pow",
     "totient",
@@ -66,11 +65,6 @@ class Factorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of ``|a|`` and ``|b|``; ``gcd(0, 0) == 0``."""
-    return math.gcd(a, b)
 
 
 def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
@@ -184,7 +178,7 @@ def totient(n: int) -> int:
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
-    """Square-and-multiply ``base**exp mod m`` in ``[0, m)``; ``0**0 == 1``.
+    """``base**exp mod m`` in ``[0, m)`` by builtin ``pow``; ``0**0 == 1``.
 
     The modulus must be positive: congruence mod 0 is the equality relation
     and is deliberately unsupported.
@@ -193,10 +187,4 @@ def mod_pow(base: int, exp: int, m: int) -> int:
         raise ValueError("mod_pow requires a positive modulus")
     if exp < 0:
         raise ValueError("mod_pow requires a non-negative exponent")
-    result = 1 % m
-    base %= m
-    for bit in bin(exp)[2:]:
-        result = result * result % m
-        if bit == "1":
-            result = result * base % m
-    return result
+    return pow(base, exp, m)

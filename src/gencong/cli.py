@@ -1,8 +1,14 @@
 """Command-line front end: reduce, pow, totient, verify, selftest.
 
 Operands are decimal integer strings of arbitrary length (optional leading
-minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (zero
-modulus, nonpositive totient argument), 3 verification failure.
+minus).  Exit codes: 0 success, 1 usage/parse error (including a ``verify
+--cap`` below 1), 2 domain error (zero modulus, nonpositive totient
+argument), 3 verification failure.
+
+Each handler takes the parsed ``argparse.Namespace``.  ``pow``, its stdin
+batch mode and ``selftest`` evaluate powers through ``reduction.solve``, the
+same routine the library uses.  A ``verify --json`` witness is the ``reduce``
+JSON object (``m`` normalized) plus ``lhs`` and ``rhs``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
 from .arith import factorize, totient
@@ -19,8 +24,9 @@ from .reduction import (
     ReductionChain,
     TheoremCheck,
     build_chain,
-    mod_pow,
-    reduce_exponent,
+    mod_pow,  # noqa: F401  re-exported; bench/test_bench.py traces cli.mod_pow
+    reduced_pow,
+    solve,
     verify_theorem,
 )
 
@@ -42,43 +48,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True, slots=True)
-class CliRequest:
-    """One parsed invocation: the command, its operands, and its flags."""
-
-    command: str
-    operands: tuple[str, ...] = ()
-    json_output: bool = False
-    trace: bool = False
-    a_range: str | None = None
-    m_range: str | None = None
-    cap: int = DEFAULT_VERIFY_CAP
-
-
-@dataclass(frozen=True, slots=True)
-class PowResult:
-    """A solved modular power a^exponent mod m with its reduction chain."""
-
-    a: int
-    exponent: int
-    m: int
-    chain: ReductionChain
-    reduced_exponent: int
-    residue: int
-
-    @property
-    def s(self) -> int:
-        return self.chain.s
-
-    @property
-    def m_s(self) -> int:
-        return self.chain.m_s
-
-    @property
-    def phi_ms(self) -> int:
-        return self.chain.phi_ms
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,15 +76,6 @@ def _parse_range(text: str, flag: str) -> range:
     if lo > hi:
         raise CliError(EXIT_USAGE, f"{flag} range {text} is empty")
     return range(lo, hi + 1)
-
-
-def solve_pow(a: int, exponent: int, m: int) -> PowResult:
-    """Evaluate a^exponent mod m through the reduction chain."""
-    chain = build_chain(a, m)
-    reduced = reduce_exponent(chain, exponent)
-    residue = mod_pow(a % chain.m_norm, reduced, chain.m_norm)
-    return PowResult(a=a, exponent=exponent, m=m, chain=chain,
-                     reduced_exponent=reduced, residue=residue)
 
 
 def _trace_lines(chain: ReductionChain) -> list[str]:
@@ -153,11 +113,8 @@ def _chain_payload(chain: ReductionChain) -> dict:
     }
 
 
-def _pow_payload(result: PowResult) -> dict:
-    payload = _chain_payload(result.chain)
-    payload["reduced_exponent"] = str(result.reduced_exponent)
-    payload["residue"] = str(result.residue)
-    return payload
+def _pow_payload(chain: ReductionChain, reduced: int, residue: int) -> dict:
+    return {**_chain_payload(chain), "reduced_exponent": str(reduced), "residue": str(residue)}
 
 
 def _power_term(a: int, exponent: int) -> str:
@@ -165,13 +122,13 @@ def _power_term(a: int, exponent: int) -> str:
     return f"{base}^{exponent}"
 
 
-def cmd_reduce(request: CliRequest) -> int:
-    if len(request.operands) != 2:
+def cmd_reduce(args: argparse.Namespace) -> int:
+    if len(args.operands) != 2:
         raise CliError(EXIT_USAGE, "reduce expects operands: a m")
-    a = _parse_int(request.operands[0], "a")
-    m = _parse_modulus(request.operands[1])
+    a = _parse_int(args.operands[0], "a")
+    m = _parse_modulus(args.operands[1])
     chain = build_chain(a, m)
-    if request.json_output:
+    if args.json:
         print(json.dumps(_chain_payload(chain)))
     else:
         for line in _trace_lines(chain) + _summary_lines(chain):
@@ -189,26 +146,23 @@ def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, int, int]:
     return a, exponent, m
 
 
-def cmd_pow(request: CliRequest) -> int:
-    if not request.operands:
+def cmd_pow(args: argparse.Namespace) -> int:
+    if not args.operands:
         return _pow_batch()
-    if len(request.operands) != 3:
+    if len(args.operands) != 3:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
-    a, exponent, m = _parse_pow_operands(request.operands)
-    result = solve_pow(a, exponent, m)
-    if request.json_output:
-        print(json.dumps(_pow_payload(result)))
+    a, exponent, m = _parse_pow_operands(args.operands)
+    chain, reduced, residue = solve(a, exponent, m)
+    if args.json:
+        print(json.dumps(_pow_payload(chain, reduced, residue)))
         return EXIT_OK
-    lines: list[str] = []
-    if request.trace:
-        lines += _trace_lines(result.chain)
-    lines += _summary_lines(result.chain)
-    lines.append(f"reduced_exponent = {result.reduced_exponent}")
-    lines.append(f"residue = {result.residue}")
-    if request.trace:
+    lines = _trace_lines(chain) if args.trace else []
+    lines += _summary_lines(chain)
+    lines.append(f"reduced_exponent = {reduced}")
+    lines.append(f"residue = {residue}")
+    if args.trace:
         lines.append(
-            f"{_power_term(a, exponent)} ≡ {_power_term(a, result.reduced_exponent)}"
-            f" (mod {result.chain.m_norm})"
+            f"{_power_term(a, exponent)} ≡ {_power_term(a, reduced)} (mod {chain.m_norm})"
         )
     for line in lines:
         print(line)
@@ -224,18 +178,18 @@ def _pow_batch() -> int:
         if len(fields) != 3:
             raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
         a, exponent, m = _parse_pow_operands(fields)
-        print(json.dumps(_pow_payload(solve_pow(a, exponent, m))))
+        print(json.dumps(_pow_payload(*solve(a, exponent, m))))
     return EXIT_OK
 
 
-def cmd_totient(request: CliRequest) -> int:
-    if len(request.operands) != 1:
+def cmd_totient(args: argparse.Namespace) -> int:
+    if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
-    n = _parse_int(request.operands[0], "n")
+    n = _parse_int(args.operands[0], "n")
     if n <= 0:
         raise CliError(EXIT_DOMAIN, "totient requires n >= 1")
     phi = totient(n)
-    if request.json_output:
+    if args.json:
         payload = {
             "n": str(n),
             "phi": str(phi),
@@ -249,34 +203,20 @@ def cmd_totient(request: CliRequest) -> int:
     return EXIT_OK
 
 
-def _witness_payload(check: TheoremCheck) -> dict:
-    return {
-        "a": str(check.a),
-        "m": str(check.m),
-        "s": check.s,
-        "m_s": str(check.m_s),
-        "phi_m_s": str(check.phi_ms),
-        "lhs": str(check.lhs),
-        "rhs": str(check.rhs),
-        "steps": [
-            {"i": step.index, "d": str(step.d), "m_rem": str(step.m_rem)}
-            for step in check.chain.steps
-        ],
-    }
-
-
-def cmd_verify(request: CliRequest) -> int:
-    if request.a_range is None or request.m_range is None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise CliError(EXIT_USAGE, f"--cap must be at least 1, got {args.cap}")
+    if args.a is None or args.m is None:
         raise CliError(EXIT_USAGE, "verify requires --a LO..HI and --m LO..HI")
-    a_range = _parse_range(request.a_range, "--a")
-    m_range = _parse_range(request.m_range, "--m")
+    a_range = _parse_range(args.a, "--a")
+    m_range = _parse_range(args.m, "--m")
     if all(m == 0 for m in m_range):
         raise CliError(EXIT_USAGE, "--m range contains no nonzero modulus")
     total = len(a_range) * len(m_range)
-    if total > request.cap:
+    if total > args.cap:
         raise CliError(
             EXIT_USAGE,
-            f"{total} pairs exceed the safety cap of {request.cap}; raise --cap to allow this",
+            f"{total} pairs exceed the safety cap of {args.cap}; raise --cap to allow this",
         )
     checked = 0
     failures: list[TheoremCheck] = []
@@ -288,30 +228,24 @@ def cmd_verify(request: CliRequest) -> int:
             checked += 1
             if not check.ok:
                 failures.append(check)
-    if request.json_output:
-        print(
-            json.dumps(
-                {
-                    "checked": checked,
-                    "failures": len(failures),
-                    "witnesses": [_witness_payload(c) for c in failures],
-                }
-            )
-        )
+    if args.json:
+        witnesses = [{**_chain_payload(c.chain), "lhs": str(c.lhs), "rhs": str(c.rhs)}
+                     for c in failures]
+        print(json.dumps({"checked": checked, "failures": len(failures), "witnesses": witnesses}))
     else:
         for check in failures:
+            chain = check.chain
             print(
-                f"FAIL a={check.a} m={check.m}: s={check.s} m_s={check.m_s} "
-                f"phi={check.phi_ms} lhs={check.lhs} rhs={check.rhs} "
-                f"steps={[(st.index, st.d, st.m_rem) for st in check.chain.steps]}"
+                f"FAIL a={chain.a_input} m={chain.m_input}: s={chain.s} m_s={chain.m_s} "
+                f"phi={chain.phi_ms} lhs={check.lhs} rhs={check.rhs} "
+                f"steps={[(st.index, st.d, st.m_rem) for st in chain.steps]}"
             )
         print(f"{checked} checked, {len(failures)} failures")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 def _selftest_checks() -> list[tuple[str, bool]]:
-    chain = build_chain(6, 105765)
-    worked = solve_pow(6, 25604, 105765)
+    chain, reduced, residue = solve(6, 25604, 105765)
     return [
         (
             "worked example: chain of (6, 105765)",
@@ -319,7 +253,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
         ),
         (
             "worked example: 6^25604 mod 105765",
-            (worked.reduced_exponent, worked.residue) == (4, 1296),
+            (reduced, residue) == (4, 1296),
         ),
         ("totient(35255) = 25600", totient(35255) == 25600),
         (
@@ -333,7 +267,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
         (
             "reduced powers match direct evaluation",
             all(
-                solve_pow(a, exponent, m).residue == pow(a, exponent, m)
+                reduced_pow(a, exponent, m) == pow(a, exponent, m)
                 for m in range(1, 30)
                 for a in range(m)
                 for exponent in range(20)
@@ -342,10 +276,10 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     ]
 
 
-def cmd_selftest(request: CliRequest) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
-    if request.json_output:
+    if args.json:
         print(
             json.dumps(
                 {
@@ -381,8 +315,6 @@ def _build_parser() -> _Parser:
     p_reduce = sub.add_parser("reduce", help="print the chain (steps, s, m_s, phi) for a and m")
     p_reduce.add_argument("operands", nargs="*", metavar="OPERAND", help="a m")
     p_reduce.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_reduce.add_argument("--trace", action="store_true",
-                          help="accepted for symmetry with pow; reduce always prints the table")
 
     p_pow = sub.add_parser("pow", help="compute a^N mod m by exponent reduction")
     p_pow.add_argument("operands", nargs="*", metavar="OPERAND",
@@ -400,7 +332,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--a", metavar="LO..HI", help="inclusive range of bases")
     p_verify.add_argument("--m", metavar="LO..HI", help="inclusive range of moduli (m = 0 skipped)")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP, metavar="K",
-                          help=f"maximum number of pairs (default {DEFAULT_VERIFY_CAP})")
+                          help=f"maximum number of pairs, at least 1 (default {DEFAULT_VERIFY_CAP})")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON summary")
 
     p_self = sub.add_parser("selftest", help="run the built-in regression checks")
@@ -422,32 +354,24 @@ def _merge_range_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def _request_from_args(args: argparse.Namespace) -> CliRequest:
-    return CliRequest(
-        command=args.command,
-        operands=tuple(getattr(args, "operands", ())),
-        json_output=getattr(args, "json", False),
-        trace=getattr(args, "trace", False),
-        a_range=getattr(args, "a", None),
-        m_range=getattr(args, "m", None),
-        cap=getattr(args, "cap", DEFAULT_VERIFY_CAP),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if hasattr(sys, "set_int_max_str_digits"):
-        # operands are arbitrary-length decimals; lift the conversion cap
+    # operands are arbitrary-length decimals: lift the conversion cap for
+    # this call only, so a library caller's own limit survives it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_range_values(list(argv)))
-        request = _request_from_args(args)
-        return _HANDLERS[request.command](request)
+        return _HANDLERS[args.command](args)
     except CliError as err:
         print(f"gencong: error: {err}", file=sys.stderr)
         return err.code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

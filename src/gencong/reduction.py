@@ -17,8 +17,9 @@ mod -m, so the chain is always built on |m|; gcds are taken positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .arith import gcd, mod_pow, totient
+from .arith import mod_pow, totient
 
 __all__ = [
     "ReductionChain",
@@ -28,6 +29,7 @@ __all__ = [
     "cofactors",
     "reduce_exponent",
     "reduced_pow",
+    "solve",
     "verify_theorem",
 ]
 
@@ -65,17 +67,13 @@ class ReductionChain:
 class TheoremCheck:
     """Witness for one congruence check: both sides evaluated directly.
 
-    ``lhs = a**(phi_ms + s) mod |m|`` and ``rhs = a**s mod |m|``; ``ok`` is
-    their equality.  A False ``ok`` indicates an implementation bug, so the
-    full chain is carried for the report.
+    ``lhs = a**(phi_ms + s) mod |m|`` and ``rhs = a**s mod |m|`` for the
+    ``a``, ``m``, ``s`` and ``phi_ms`` of ``chain``; ``ok`` is their
+    equality.  A False ``ok`` indicates an implementation bug, so the full
+    chain is carried for the report.
     """
 
     ok: bool
-    a: int
-    m: int
-    s: int
-    m_s: int
-    phi_ms: int
     lhs: int
     rhs: int
     chain: ReductionChain
@@ -136,17 +134,7 @@ def verify_theorem(a: int, m: int) -> TheoremCheck:
     chain = build_chain(a, m)
     lhs = mod_pow(a, chain.phi_ms + chain.s, chain.m_norm)
     rhs = mod_pow(a, chain.s, chain.m_norm)
-    return TheoremCheck(
-        ok=lhs == rhs,
-        a=a,
-        m=m,
-        s=chain.s,
-        m_s=chain.m_s,
-        phi_ms=chain.phi_ms,
-        lhs=lhs,
-        rhs=rhs,
-        chain=chain,
-    )
+    return TheoremCheck(ok=lhs == rhs, lhs=lhs, rhs=rhs, chain=chain)
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int) -> int:
@@ -163,13 +151,19 @@ def reduce_exponent(chain: ReductionChain, exponent: int) -> int:
     return chain.s + (exponent - chain.s) % chain.phi_ms
 
 
-def reduced_pow(a: int, exponent: int, m: int) -> int:
-    """``a**exponent mod |m|`` in ``[0, |m|)`` via exponent folding.
+def solve(a: int, exponent: int, m: int) -> tuple[ReductionChain, int, int]:
+    """``(chain, reduced_exponent, residue)`` for ``a**exponent mod |m|``.
 
-    Agrees with naive modular exponentiation on all inputs, but the work is
-    bounded by ``|m|`` rather than the exponent, so decimal exponents with
-    thousands of digits are fine.
+    The residue lies in ``[0, |m|)`` and equals ``a**reduced_exponent``
+    mod ``|m|``.  It agrees with naive modular exponentiation on all inputs,
+    but the work is bounded by ``|m|`` rather than the exponent, so decimal
+    exponents with thousands of digits are fine.
     """
     chain = build_chain(a, m)
     reduced = reduce_exponent(chain, exponent)
-    return mod_pow(a % chain.m_norm, reduced, chain.m_norm)
+    return chain, reduced, mod_pow(a, reduced, chain.m_norm)
+
+
+def reduced_pow(a: int, exponent: int, m: int) -> int:
+    """``a**exponent mod |m|`` in ``[0, |m|)``: the residue of :func:`solve`."""
+    return solve(a, exponent, m)[2]

@@ -1,4 +1,4 @@
-"""Tests for gcd, primality, factorization, totient, and powmod."""
+"""Tests for primality, factorization, totient, and powmod."""
 
 import math
 
@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencong.arith import Factorization, factorize, gcd, is_prime, mod_pow, totient
+from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
 
 
 def naive_mod_pow(base, exp, m):
@@ -20,37 +20,6 @@ def naive_mod_pow(base, exp, m):
 
 def naive_totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-class TestGcd:
-    def test_frozen_values(self):
-        assert gcd(6, 105765) == 3
-        assert gcd(3, 35255) == 1
-        assert gcd(0, 0) == 0
-        assert gcd(0, 7) == 7
-        assert gcd(-6, 105765) == 3
-        assert gcd(6, -105765) == 3
-
-    def test_small_exhaustive(self):
-        for a in range(-30, 31):
-            for b in range(-30, 31):
-                g = gcd(a, b)
-                if a == b == 0:
-                    assert g == 0
-                    continue
-                assert g > 0
-                assert a % g == 0 and b % g == 0
-                assert all(
-                    not (a % d == 0 and b % d == 0) for d in range(g + 1, max(abs(a), abs(b)) + 1)
-                )
-
-    def test_identities_to_200(self):
-        for a in range(-200, 201):
-            for b in range(-200, 201):
-                g = gcd(a, b)
-                assert g == gcd(b, a) == gcd(abs(a), abs(b)) == math.gcd(a, b)
-                if g:
-                    assert a % g == 0 and b % g == 0
 
 
 class TestIsPrime:

@@ -13,10 +13,7 @@ from gencong.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    CliRequest,
-    PowResult,
     main,
-    solve_pow,
 )
 from gencong.reduction import TheoremCheck, build_chain
 
@@ -91,6 +88,12 @@ class TestReduceCommand:
     def test_wrong_arity(self, capsys):
         assert run_cli(capsys, "reduce", "6")[0] == EXIT_USAGE
         assert run_cli(capsys, "reduce", "6", "7", "8")[0] == EXIT_USAGE
+
+    def test_trace_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "reduce", "6", "105765", "--trace")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trace" in err
 
 
 class TestPowCommand:
@@ -238,10 +241,19 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.strip() == "9900 checked, 0 failures"
 
+    def test_cap_below_one_rejected(self, capsys):
+        for cap in ("-5", "0"):
+            code, out, err = run_cli(capsys, "verify", "--a", "0..2", "--m", "1..2", "--cap", cap)
+            assert code == EXIT_USAGE, cap
+            assert out == ""
+            assert f"--cap must be at least 1, got {cap}" in err
+        code, out, _ = run_cli(capsys, "verify", "--a", "0..0", "--m", "1..1", "--cap", "1")
+        assert code == EXIT_OK
+        assert out.strip() == "1 checked, 0 failures"
+
     def test_failure_prints_witness_and_exits_3(self, capsys, monkeypatch):
         chain = build_chain(3, 9)
-        fake = TheoremCheck(ok=False, a=3, m=9, s=chain.s, m_s=chain.m_s,
-                            phi_ms=chain.phi_ms, lhs=1, rhs=2, chain=chain)
+        fake = TheoremCheck(ok=False, lhs=1, rhs=2, chain=chain)
         monkeypatch.setattr(cli, "verify_theorem", lambda a, m: fake)
         code, out, _ = run_cli(capsys, "verify", "--a", "3..3", "--m", "9..9")
         assert code == EXIT_VERIFY_FAILED
@@ -294,20 +306,18 @@ class TestParsing:
         assert code == EXIT_OK
         assert int(parse_summary(out)["residue"]) == pow(6, int("9" * 5000), 105765)
 
-
-class TestRequestAndResultTypes:
-    def test_request_defaults(self):
-        request = CliRequest(command="reduce", operands=("6", "105765"))
-        assert not request.json_output and not request.trace
-        assert request.cap == cli.DEFAULT_VERIFY_CAP
-
-    def test_pow_result_fields(self):
-        result = solve_pow(6, 25604, 105765)
-        assert isinstance(result, PowResult)
-        assert (result.a, result.exponent, result.m) == (6, 25604, 105765)
-        assert (result.s, result.m_s, result.phi_ms) == (1, 35255, 25600)
-        assert (result.reduced_exponent, result.residue) == (4, 1296)
-        assert result.residue == pow(result.a, result.reduced_exponent, abs(result.m))
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str conversion limit on this Python")
+    def test_int_str_limit_scoped_to_main(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4321)
+            code, out, _ = run_cli(capsys, "pow", "6", "9" * 5000, "105765")
+            assert code == EXIT_OK
+            assert sys.get_int_max_str_digits() == 4321
+            assert int(parse_summary(out)["residue"]) == pow(6, 10**5000 - 1, 105765)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestModuleEntryPoint:

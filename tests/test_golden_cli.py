@@ -1,9 +1,10 @@
 """Golden corpus: exit code, stdout and stderr of ``cli.main`` for fixed inputs.
 
 Every command, ``--json``, ``--trace``, negative operands, batch mode and
-each error exit reachable from the command line are recorded in
-``golden_cli.json``.  Refactors must leave every case byte-identical; an
-intended output change re-records the corpus with
+the usage (1) and domain (2) error exits are recorded in ``golden_cli.json``;
+exit 3 needs a broken library and is covered in ``test_cli.py``.  Refactors
+must leave every case byte-identical; an intended output change re-records
+the corpus with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 

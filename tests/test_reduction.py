@@ -13,6 +13,7 @@ from gencong.reduction import (
     cofactors,
     reduce_exponent,
     reduced_pow,
+    solve,
     verify_theorem,
 )
 
@@ -50,6 +51,12 @@ class TestBuildChain:
         assert [(st.d, st.m_rem) for st in chain.steps] == [(7, 1), (1, 1)]
         assert (chain.s, chain.m_s) == (1, 1)
         assert build_chain(0, 1).s == 0
+
+    def test_negative_base_takes_positive_gcds(self):
+        assert build_chain(-6, 105765).steps == build_chain(6, 105765).steps
+        chain = build_chain(-12, 18)
+        assert [(st.d, st.m_rem) for st in chain.steps] == [(6, 3), (3, 1), (1, 1)]
+        assert (chain.s, chain.m_s, chain.a0) == (2, 1, -2)
 
     def test_power_of_two_depth(self):
         for k in range(1, 12):
@@ -125,23 +132,23 @@ class TestVerifyTheorem:
     def test_worked_example(self):
         check = verify_theorem(6, 105765)
         assert check.ok and bool(check)
-        assert (check.s, check.m_s, check.phi_ms) == (1, 35255, 25600)
+        assert (check.chain.s, check.chain.m_s, check.chain.phi_ms) == (1, 35255, 25600)
         assert check.lhs == check.rhs == mod_pow(6, 1, 105765)
 
     def test_both_sides_are_direct_powers(self):
         check = verify_theorem(12, 18)
-        assert check.lhs == mod_pow(12, check.phi_ms + check.s, 18)
-        assert check.rhs == mod_pow(12, check.s, 18)
+        assert check.lhs == mod_pow(12, check.chain.phi_ms + check.chain.s, 18)
+        assert check.rhs == mod_pow(12, check.chain.s, 18)
 
     def test_frozen_witnesses(self):
         check = verify_theorem(2, 6)
-        assert (check.s, check.m_s, check.phi_ms) == (1, 3, 2)
+        assert (check.chain.s, check.chain.m_s, check.chain.phi_ms) == (1, 3, 2)
         assert check.lhs == check.rhs == 2
         check = verify_theorem(5, 12)
-        assert (check.s, check.m_s, check.phi_ms) == (0, 12, 4)
+        assert (check.chain.s, check.chain.m_s, check.chain.phi_ms) == (0, 12, 4)
         assert check.lhs == check.rhs == 1
         check = verify_theorem(2, 4)
-        assert (check.s, check.m_s, check.phi_ms) == (2, 1, 1)
+        assert (check.chain.s, check.chain.m_s, check.chain.phi_ms) == (2, 1, 1)
         assert check.lhs == check.rhs == 0
 
     def test_small_exhaustive(self):
@@ -188,6 +195,15 @@ class TestReduceExponent:
         chain = build_chain(a, m)
         reduced = reduce_exponent(chain, exponent)
         assert pow(a, reduced, chain.m_norm) == pow(a, exponent, chain.m_norm)
+
+
+class TestSolve:
+    def test_worked_example(self):
+        chain, reduced, residue = solve(6, 25604, 105765)
+        assert (chain.a_input, chain.m_input) == (6, 105765)
+        assert (chain.s, chain.m_s, chain.phi_ms) == (1, 35255, 25600)
+        assert (reduced, residue) == (4, 1296)
+        assert residue == pow(6, reduced, 105765)
 
 
 class TestReducedPow:
