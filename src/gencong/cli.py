@@ -1,14 +1,13 @@
 """Command-line front end: reduce, pow, totient, verify, selftest.
 
 Operands are decimal integer strings of arbitrary length (optional leading
-minus).  Exit codes: 0 success, 1 usage/parse error (including a ``verify
---cap`` below 1), 2 domain error (zero modulus, nonpositive totient
-argument), 3 verification failure.
+minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
+``ValueError`` from the library, e.g. zero modulus), 3 verification failure.
 
-Each handler takes the parsed ``argparse.Namespace``.  ``pow``, its stdin
-batch mode and ``selftest`` evaluate powers through ``reduction.solve``, the
-same routine the library uses.  A ``verify --json`` witness is the ``reduce``
-JSON object (``m`` normalized) plus ``lhs`` and ``rhs``.
+Each handler takes the parsed ``argparse.Namespace`` and returns through
+``_emit``, the one place that picks text or JSON (batch mode streams JSON
+lines itself).  Powers go through ``reduction.solve``, as in the library; a
+``verify --json`` witness is the ``reduce`` JSON object plus ``lhs``/``rhs``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .arith import factorize, totient
 from .reduction import (
@@ -59,13 +58,6 @@ def _parse_int(text: str, name: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
         raise CliError(EXIT_USAGE, f"{name} must be a decimal integer, got {text!r}")
     return int(text)
-
-
-def _parse_modulus(text: str) -> int:
-    m = _parse_int(text, "m")
-    if m == 0:
-        raise CliError(EXIT_DOMAIN, "modulus must be nonzero (the congruence requires m != 0)")
-    return m
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -122,18 +114,22 @@ def _power_term(a: int, exponent: int) -> str:
     return f"{base}^{exponent}"
 
 
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], lines: list[str],
+          code: int = EXIT_OK) -> int:
+    """Print a command's result as JSON under ``--json``, else as text; return ``code``.
+
+    ``payload`` is called only under ``--json``, so work that just the JSON
+    needs (``totient``'s factor list) is skipped in text mode.
+    """
+    print(json.dumps(payload()) if args.json else "\n".join(lines))
+    return code
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     if len(args.operands) != 2:
         raise CliError(EXIT_USAGE, "reduce expects operands: a m")
-    a = _parse_int(args.operands[0], "a")
-    m = _parse_modulus(args.operands[1])
-    chain = build_chain(a, m)
-    if args.json:
-        print(json.dumps(_chain_payload(chain)))
-    else:
-        for line in _trace_lines(chain) + _summary_lines(chain):
-            print(line)
-    return EXIT_OK
+    chain = build_chain(_parse_int(args.operands[0], "a"), _parse_int(args.operands[1], "m"))
+    return _emit(args, lambda: _chain_payload(chain), _trace_lines(chain) + _summary_lines(chain))
 
 
 def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, int, int]:
@@ -142,31 +138,25 @@ def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, int, int]:
     exponent = _parse_int(n_text, "N")
     if exponent < 0:
         raise CliError(EXIT_USAGE, "N must be non-negative")
-    m = _parse_modulus(m_text)
-    return a, exponent, m
+    return a, exponent, _parse_int(m_text, "m")
 
 
 def cmd_pow(args: argparse.Namespace) -> int:
     if not args.operands:
+        if args.trace:
+            raise CliError(EXIT_USAGE, "--trace needs operands a N m; batch mode prints JSON only")
         return _pow_batch()
     if len(args.operands) != 3:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
     a, exponent, m = _parse_pow_operands(args.operands)
     chain, reduced, residue = solve(a, exponent, m)
-    if args.json:
-        print(json.dumps(_pow_payload(chain, reduced, residue)))
-        return EXIT_OK
     lines = _trace_lines(chain) if args.trace else []
-    lines += _summary_lines(chain)
-    lines.append(f"reduced_exponent = {reduced}")
-    lines.append(f"residue = {residue}")
+    lines += [*_summary_lines(chain), f"reduced_exponent = {reduced}", f"residue = {residue}"]
     if args.trace:
         lines.append(
             f"{_power_term(a, exponent)} ≡ {_power_term(a, reduced)} (mod {chain.m_norm})"
         )
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return _emit(args, lambda: _pow_payload(chain, reduced, residue), lines)
 
 
 def _pow_batch() -> int:
@@ -186,21 +176,12 @@ def cmd_totient(args: argparse.Namespace) -> int:
     if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
     n = _parse_int(args.operands[0], "n")
-    if n <= 0:
-        raise CliError(EXIT_DOMAIN, "totient requires n >= 1")
     phi = totient(n)
-    if args.json:
-        payload = {
-            "n": str(n),
-            "phi": str(phi),
-            "factors": [
-                {"prime": str(p), "exponent": e} for p, e in factorize(n).factors
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(phi)
-    return EXIT_OK
+    return _emit(args, lambda: {
+        "n": str(n),
+        "phi": str(phi),
+        "factors": [{"prime": str(p), "exponent": e} for p, e in factorize(n).factors],
+    }, [str(phi)])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -212,7 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m_range = _parse_range(args.m, "--m")
     if all(m == 0 for m in m_range):
         raise CliError(EXIT_USAGE, "--m range contains no nonzero modulus")
-    total = len(a_range) * len(m_range)
+    # stop - start, not len(): len() overflows past sys.maxsize
+    total = (a_range.stop - a_range.start) * (m_range.stop - m_range.start)
     if total > args.cap:
         raise CliError(
             EXIT_USAGE,
@@ -228,20 +210,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checked += 1
             if not check.ok:
                 failures.append(check)
-    if args.json:
-        witnesses = [{**_chain_payload(c.chain), "lhs": str(c.lhs), "rhs": str(c.rhs)}
-                     for c in failures]
-        print(json.dumps({"checked": checked, "failures": len(failures), "witnesses": witnesses}))
-    else:
-        for check in failures:
-            chain = check.chain
-            print(
-                f"FAIL a={chain.a_input} m={chain.m_input}: s={chain.s} m_s={chain.m_s} "
-                f"phi={chain.phi_ms} lhs={check.lhs} rhs={check.rhs} "
-                f"steps={[(st.index, st.d, st.m_rem) for st in chain.steps]}"
-            )
-        print(f"{checked} checked, {len(failures)} failures")
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    lines = [
+        f"FAIL a={c.chain.a_input} m={c.chain.m_input}: s={c.chain.s} m_s={c.chain.m_s} "
+        f"phi={c.chain.phi_ms} lhs={c.lhs} rhs={c.rhs} "
+        f"steps={[(st.index, st.d, st.m_rem) for st in c.chain.steps]}"
+        for c in failures
+    ]
+    lines.append(f"{checked} checked, {len(failures)} failures")
+    return _emit(args, lambda: {
+        "checked": checked,
+        "failures": len(failures),
+        "witnesses": [{**_chain_payload(c.chain), "lhs": str(c.lhs), "rhs": str(c.rhs)}
+                      for c in failures],
+    }, lines, EXIT_VERIFY_FAILED if failures else EXIT_OK)
 
 
 def _selftest_checks() -> list[tuple[str, bool]]:
@@ -279,21 +260,14 @@ def _selftest_checks() -> list[tuple[str, bool]]:
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "checks": [{"name": name, "ok": ok} for name, ok in results],
-                    "passed": len(results) - len(failed),
-                    "failed": len(failed),
-                }
-            )
-        )
-    else:
-        for name, ok in results:
-            print(f"{'ok' if ok else 'FAIL'} - {name}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    passed = len(results) - len(failed)
+    lines = [f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return _emit(args, lambda: {
+        "checks": [{"name": name, "ok": ok} for name, ok in results],
+        "passed": passed,
+        "failed": len(failed),
+    }, lines, EXIT_VERIFY_FAILED if failed else EXIT_OK)
 
 
 _HANDLERS = {
@@ -319,9 +293,11 @@ def _build_parser() -> _Parser:
     p_pow = sub.add_parser("pow", help="compute a^N mod m by exponent reduction")
     p_pow.add_argument("operands", nargs="*", metavar="OPERAND",
                        help="a N m; omit to read one request per stdin line")
-    p_pow.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_pow.add_argument("--trace", action="store_true",
-                       help="also print the chain table and the congruence line")
+    p_pow_format = p_pow.add_mutually_exclusive_group()
+    p_pow_format.add_argument("--json", action="store_true", help="emit a JSON object")
+    p_pow_format.add_argument("--trace", action="store_true",
+                              help="also print the chain table and the congruence line "
+                                   "(text only, needs operands)")
 
     p_tot = sub.add_parser("totient", help="print phi(n)")
     p_tot.add_argument("operands", nargs="*", metavar="OPERAND", help="n")
@@ -366,9 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_merge_range_values(list(argv)))
         return _HANDLERS[args.command](args)
-    except CliError as err:
+    except (CliError, ValueError) as err:  # ValueError: the library's domain checks
         print(f"gencong: error: {err}", file=sys.stderr)
-        return err.code
+        return err.code if isinstance(err, CliError) else EXIT_DOMAIN
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -91,7 +91,7 @@ def build_chain(a: int, m: int) -> ReductionChain:
     beyond ``a_input``/``a0`` depends on ``a`` only through ``gcd(|a|, |m|)``.
     """
     if m == 0:
-        raise ValueError("modulus must be nonzero")
+        raise ValueError("modulus must be nonzero (the congruence requires m != 0)")
     m_norm = abs(m)
     steps: list[ReductionStep] = []
     current_a, current_m, i = a, m_norm, 0

@@ -84,6 +84,11 @@ class TestFactorize:
                 product *= p**e
             assert product == n == result.n
 
+    def test_trial_division_boundary_matches_sympy(self):
+        # 997 is the largest trial prime and 1009 the smallest prime above it
+        for n in (994009, 1018081, 1005973, 997, 1009, 994009 * 1009):
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+
     def test_semiprime_with_large_factors(self):
         p, q = 2147483647, 2305843009213693951
         assert factorize(p * q).factors == ((p, 1), (q, 1))

@@ -163,6 +163,19 @@ class TestPowCommand:
         assert first["residue"] == "1296"
         assert second["residue"] == "1"
 
+    def test_trace_and_json_are_exclusive(self, capsys):
+        code, out, err = run_cli(capsys, "pow", "6", "25604", "105765", "--trace", "--json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not allowed with argument --trace" in err
+
+    def test_trace_rejected_in_batch_mode(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("6 25604 105765\n"))
+        code, out, err = run_cli(capsys, "pow", "--trace")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trace needs operands" in err
+
     def test_batch_mode_bad_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("6 25604\n"))
         code, _, err = run_cli(capsys, "pow")
@@ -190,6 +203,15 @@ class TestTotientCommand:
                 {"prime": "3", "exponent": 1},
             ],
         }
+
+    def test_text_mode_does_not_factorize(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("text mode needs no factor list")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        code, out, _ = run_cli(capsys, "totient", "12")
+        assert code == EXIT_OK
+        assert out == "4\n"
 
     def test_nonpositive_is_domain_error(self, capsys):
         for bad in ("0", "-5"):
@@ -240,6 +262,13 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--a", "0..99", "--m", "1..99", "--cap", "10000")
         assert code == EXIT_OK
         assert out.strip() == "9900 checked, 0 failures"
+
+    def test_range_longer_than_maxsize_hits_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--a", "0..99999999999999999999", "--m", "1..2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("gencong: error: 200000000000000000000 pairs exceed the safety cap of "
+                       "1000000; raise --cap to allow this\n")
 
     def test_cap_below_one_rejected(self, capsys):
         for cap in ("-5", "0"):
@@ -300,11 +329,21 @@ class TestParsing:
         code, _, _ = run_cli(capsys, "pow", "--bogus-flag")
         assert code == EXIT_USAGE
 
+    def test_library_value_error_is_domain_error(self, capsys, monkeypatch):
+        def broken(a, m):
+            raise ValueError("stub domain check")
+
+        monkeypatch.setattr(cli, "build_chain", broken)
+        code, out, err = run_cli(capsys, "reduce", "6", "105765")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "gencong: error: stub domain check\n"
+
     def test_huge_operands_accepted(self, capsys):
         exponent = "9" * 5000
         code, out, _ = run_cli(capsys, "pow", "6", exponent, "105765")
         assert code == EXIT_OK
-        assert int(parse_summary(out)["residue"]) == pow(6, int("9" * 5000), 105765)
+        assert int(parse_summary(out)["residue"]) == pow(6, 10**5000 - 1, 105765)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int/str conversion limit on this Python")
