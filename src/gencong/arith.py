@@ -21,8 +21,8 @@ __all__ = [
     "totient",
 ]
 
-#: Extra Miller-Rabin rounds for inputs beyond the deterministic witness
-#: table; error probability at most 4**-MILLER_RABIN_ROUNDS per call.
+#: Extra Miller-Rabin rounds for inputs beyond the last psi_k bound; error
+#: probability at most 4**-MILLER_RABIN_ROUNDS per call.
 MILLER_RABIN_ROUNDS = 24
 
 
@@ -38,21 +38,14 @@ def _sieve(limit: int) -> tuple[int, ...]:
 #: Trial division peels these off before the rho splitter sees a cofactor.
 _TRIAL_PRIMES = _sieve(1000)
 
-# Deterministic witness sets for odd n below each bound; the last row covers
-# everything past 2**64 up to ~3.3e24 (miller-rabin.appspot.com tables).
-_MR_WITNESS_TABLE: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (341531, (9345883071009581737,)),
-    (1050535501, (336781006125, 9639812373923155)),
-    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (7999252175582851,
-     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
-    (585226005592931977,
-     (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
-      1263739024124850375)),
-    (18446744073709551616, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+#: (psi_k, k): psi_k (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017) is the
+#: least strong pseudoprime to all of the first k primes, which therefore decide
+#: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: psi_1 < 101**2
+#: is left to the trial screen, psi_8 == psi_7 and psi_11 == psi_10 == psi_9.
+_PSI_BOUNDS = (
+    (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
 )
 
 
@@ -66,12 +59,17 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
+    @property
+    def phi(self) -> int:
+        """Euler's totient of ``n``: ``n * prod(1 - 1/p)`` over its primes."""
+        result = self.n
+        for p, _ in self.factors:
+            result = result // p * (p - 1)
+        return result
+
 
 def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
-    """True if base ``a`` proves odd ``n`` composite (``n - 1 == d * 2**r``)."""
-    a %= n
-    if a < 2 or a == n - 1:
-        return False
+    """True if base ``1 < a < n - 1`` proves odd ``n`` composite (``n - 1 == d * 2**r``)."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -85,8 +83,8 @@ def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n below ~3.3e24.
 
-    Larger inputs get the strongest witness set plus MILLER_RABIN_ROUNDS
-    pseudo-random bases seeded from n, so repeated calls agree.
+    Below ``psi_k`` the bases are the first k primes; past ``psi_13`` they gain
+    MILLER_RABIN_ROUNDS pseudo-random ones seeded from n, so calls agree.
     """
     if n < 2:
         return False
@@ -99,12 +97,13 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for bound, bases in _MR_WITNESS_TABLE:
+    for bound, k in _PSI_BOUNDS:
         if n < bound:
+            bases = _TRIAL_PRIMES[:k]
             break
     else:
         rng = random.Random(n)
-        bases = _MR_WITNESS_TABLE[-1][1] + tuple(
+        bases = _TRIAL_PRIMES[:13] + tuple(
             rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS)
         )
     return not any(_is_composite_witness(a, d, r, n) for a in bases)
@@ -168,13 +167,10 @@ def factorize(n: int) -> Factorization:
 
 @lru_cache(maxsize=4096)
 def totient(n: int) -> int:
-    """Euler's totient of ``n >= 1``: ``n * prod(1 - 1/p)`` over primes p | n."""
+    """Euler's totient of ``n >= 1``, cached: ``factorize(n).phi``."""
     if n < 1:
         raise ValueError("totient requires n >= 1")
-    result = n
-    for p, _ in factorize(n).factors:
-        result = result // p * (p - 1)
-    return result
+    return factorize(n).phi
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:

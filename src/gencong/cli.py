@@ -2,7 +2,8 @@
 
 Operands are decimal integer strings of arbitrary length (optional leading
 minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
-``ValueError`` from the library, e.g. zero modulus), 3 verification failure.
+``ValueError`` from the library, e.g. zero modulus), 3 verification failure,
+141 stdout closed early (as a shell reports a writer killed by SIGPIPE).
 
 Each handler takes the parsed ``argparse.Namespace`` and returns through
 ``_emit``, the one place that picks text or JSON (batch mode streams JSON
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Callable, Iterable
 
-from .arith import factorize, totient
+from .arith import Factorization, factorize, totient
 from .reduction import (
     ReductionChain,
     TheoremCheck,
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141
 
 #: verify refuses range products above this unless --cap raises it.
 DEFAULT_VERIFY_CAP = 10**6
@@ -70,8 +73,16 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _trace_lines(chain: ReductionChain) -> list[str]:
-    """Chain table in the style of the worked trace, one iteration per line."""
+def _summary_lines(chain: ReductionChain) -> list[str]:
+    return [
+        f"s = {chain.s}",
+        f"m_s = {chain.m_s}",
+        f"phi(m_s) = {chain.phi_ms}",
+    ]
+
+
+def _chain_lines(chain: ReductionChain) -> list[str]:
+    """The chain as text: the worked trace's table, one step per line, then the summary."""
     lines = []
     arg_a, arg_m = chain.a_input, chain.m_norm
     for step in chain.steps:
@@ -80,15 +91,7 @@ def _trace_lines(chain: ReductionChain) -> list[str]:
             f"m_{step.index} = {arg_m} / {step.d} = {step.m_rem}"
         )
         arg_a, arg_m = step.d, step.m_rem
-    return lines
-
-
-def _summary_lines(chain: ReductionChain) -> list[str]:
-    return [
-        f"s = {chain.s}",
-        f"m_s = {chain.m_s}",
-        f"phi(m_s) = {chain.phi_ms}",
-    ]
+    return lines + _summary_lines(chain)
 
 
 def _chain_payload(chain: ReductionChain) -> dict:
@@ -109,19 +112,20 @@ def _pow_payload(chain: ReductionChain, reduced: int, residue: int) -> dict:
     return {**_chain_payload(chain), "reduced_exponent": str(reduced), "residue": str(residue)}
 
 
-def _power_term(a: int, exponent: int) -> str:
+def _factorization_payload(f: Factorization) -> dict:
+    factors = [{"prime": str(p), "exponent": e} for p, e in f.factors]
+    return {"n": str(f.n), "phi": str(f.phi), "factors": factors}
+
+
+def _congruence_line(a: int, exponent: int, reduced: int, m: int) -> str:
     base = f"({a})" if a < 0 else str(a)
-    return f"{base}^{exponent}"
+    return f"{base}^{exponent} ≡ {base}^{reduced} (mod {m})"
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], dict], lines: list[str],
-          code: int = EXIT_OK) -> int:
-    """Print a command's result as JSON under ``--json``, else as text; return ``code``.
-
-    ``payload`` is called only under ``--json``, so work that just the JSON
-    needs (``totient``'s factor list) is skipped in text mode.
-    """
-    print(json.dumps(payload()) if args.json else "\n".join(lines))
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          lines: Callable[[], list[str]], code: int = EXIT_OK) -> int:
+    """Print ``payload()`` as JSON under ``--json``, else ``lines()`` as text; return ``code``."""
+    print(json.dumps(payload()) if args.json else "\n".join(lines()))
     return code
 
 
@@ -129,7 +133,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if len(args.operands) != 2:
         raise CliError(EXIT_USAGE, "reduce expects operands: a m")
     chain = build_chain(_parse_int(args.operands[0], "a"), _parse_int(args.operands[1], "m"))
-    return _emit(args, lambda: _chain_payload(chain), _trace_lines(chain) + _summary_lines(chain))
+    return _emit(args, lambda: _chain_payload(chain), lambda: _chain_lines(chain))
 
 
 def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, int, int]:
@@ -150,13 +154,11 @@ def cmd_pow(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
     a, exponent, m = _parse_pow_operands(args.operands)
     chain, reduced, residue = solve(a, exponent, m)
-    lines = _trace_lines(chain) if args.trace else []
-    lines += [*_summary_lines(chain), f"reduced_exponent = {reduced}", f"residue = {residue}"]
-    if args.trace:
-        lines.append(
-            f"{_power_term(a, exponent)} ≡ {_power_term(a, reduced)} (mod {chain.m_norm})"
-        )
-    return _emit(args, lambda: _pow_payload(chain, reduced, residue), lines)
+    return _emit(args, lambda: _pow_payload(chain, reduced, residue), lambda: [
+        *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
+        f"reduced_exponent = {reduced}", f"residue = {residue}",
+        *([_congruence_line(a, exponent, reduced, chain.m_norm)] if args.trace else []),
+    ])
 
 
 def _pow_batch() -> int:
@@ -176,12 +178,7 @@ def cmd_totient(args: argparse.Namespace) -> int:
     if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
     n = _parse_int(args.operands[0], "n")
-    phi = totient(n)
-    return _emit(args, lambda: {
-        "n": str(n),
-        "phi": str(phi),
-        "factors": [{"prime": str(p), "exponent": e} for p, e in factorize(n).factors],
-    }, [str(phi)])
+    return _emit(args, lambda: _factorization_payload(factorize(n)), lambda: [str(totient(n))])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -210,19 +207,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checked += 1
             if not check.ok:
                 failures.append(check)
-    lines = [
-        f"FAIL a={c.chain.a_input} m={c.chain.m_input}: s={c.chain.s} m_s={c.chain.m_s} "
-        f"phi={c.chain.phi_ms} lhs={c.lhs} rhs={c.rhs} "
-        f"steps={[(st.index, st.d, st.m_rem) for st in c.chain.steps]}"
-        for c in failures
-    ]
-    lines.append(f"{checked} checked, {len(failures)} failures")
     return _emit(args, lambda: {
         "checked": checked,
         "failures": len(failures),
         "witnesses": [{**_chain_payload(c.chain), "lhs": str(c.lhs), "rhs": str(c.rhs)}
                       for c in failures],
-    }, lines, EXIT_VERIFY_FAILED if failures else EXIT_OK)
+    }, lambda: [
+        *(line for c in failures for line in (
+            f"FAIL a={c.chain.a_input} m={c.chain.m_input}: lhs={c.lhs} rhs={c.rhs}",
+            *_chain_lines(c.chain))),
+        f"{checked} checked, {len(failures)} failures",
+    ], EXIT_VERIFY_FAILED if failures else EXIT_OK)
 
 
 def _selftest_checks() -> list[tuple[str, bool]]:
@@ -261,13 +256,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
     passed = len(results) - len(failed)
-    lines = [f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results]
-    lines.append(f"{passed}/{len(results)} checks passed")
     return _emit(args, lambda: {
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "passed": passed,
         "failed": len(failed),
-    }, lines, EXIT_VERIFY_FAILED if failed else EXIT_OK)
+    }, lambda: [
+        *(f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results),
+        f"{passed}/{len(results)} checks passed",
+    ], EXIT_VERIFY_FAILED if failed else EXIT_OK)
 
 
 _HANDLERS = {
@@ -341,10 +337,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_range_values(list(argv)))
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader that has gone away shows here, not at exit
+        return code
     except (CliError, ValueError) as err:  # ValueError: the library's domain checks
         print(f"gencong: error: {err}", file=sys.stderr)
         return err.code if isinstance(err, CliError) else EXIT_DOMAIN
+    except BrokenPipeError:  # e.g. `| head -1`; fd 1 -> devnull so the exit flush can't fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_BROKEN_PIPE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

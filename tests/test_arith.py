@@ -22,6 +22,22 @@ def naive_totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+#: OEIS A014233: psi_k, the least odd composite that is a strong pseudoprime
+#: to each of the first k primes, for k = 1..13.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def is_strong_probable_prime(n, base):
+    """One Miller-Rabin round written out from the definition."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
 class TestIsPrime:
     def test_small_against_sieve(self):
         limit = 1_000_000
@@ -52,6 +68,27 @@ class TestIsPrime:
     @given(st.integers(min_value=0, max_value=10**13))
     def test_matches_sympy(self, n):
         assert is_prime(n) == sympy.isprime(n)
+
+    def test_psi_k_is_composite(self):
+        # psi_k fools its first k prime bases, so a bound tested with <= or a
+        # row with too few bases calls it prime
+        primes = list(sympy.primerange(2, 42))
+        for k, psi in enumerate(PSI, start=1):
+            assert not sympy.isprime(psi)
+            assert all(is_strong_probable_prime(psi, p) for p in primes[:k]), k
+            assert not is_prime(psi), k
+
+    def test_prime_below_psi_k(self):
+        for psi in PSI:
+            assert is_prime(sympy.prevprime(psi)), psi
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=10**13, max_value=34 * 10**23))
+    def test_matches_sympy_up_to_psi_13(self, n):
+        # the range of the larger psi_k bounds, past test_matches_sympy;
+        # nextprime puts a prime through the Miller-Rabin rounds every time
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_prime(sympy.nextprime(n))
 
 
 class TestFactorize:

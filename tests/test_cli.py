@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from gencong import cli
+from gencong import arith, cli
 from gencong.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
@@ -215,9 +216,28 @@ class TestTotientCommand:
 
     def test_nonpositive_is_domain_error(self, capsys):
         for bad in ("0", "-5"):
-            code, _, err = run_cli(capsys, "totient", bad)
-            assert code == EXIT_DOMAIN, bad
-            assert "n >= 1" in err
+            for flags in ((), ("--json",)):
+                code, _, err = run_cli(capsys, "totient", bad, *flags)
+                assert code == EXIT_DOMAIN, (bad, flags)
+                assert "n >= 1" in err
+
+    def test_factorizes_once_in_each_mode(self, capsys, monkeypatch):
+        n = 1000000016000000063  # (10**9 + 7) * (10**9 + 9)
+        calls, factorize = [], arith.factorize
+
+        def counting(m):
+            calls.append(m)
+            return factorize(m)
+
+        monkeypatch.setattr(arith, "factorize", counting)
+        monkeypatch.setattr(cli, "factorize", counting)
+        for flags in ((), ("--json",)):
+            arith.totient.cache_clear()
+            calls.clear()
+            code, out, _ = run_cli(capsys, "totient", str(n), *flags)
+            assert code == EXIT_OK
+            assert "1000000014000000048" in out
+            assert calls == [n], flags
 
 
 class TestVerifyCommand:
@@ -288,6 +308,9 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL a=3 m=9" in out
         assert "1 checked, 1 failures" in out
+        # the witness is the FAIL line, then the chain exactly as `reduce` prints it
+        reduce_out = run_cli(capsys, "reduce", "3", "9")[1]
+        assert out.splitlines()[:-1] == ["FAIL a=3 m=9: lhs=1 rhs=2", *reduce_out.splitlines()]
         code, out, _ = run_cli(capsys, "verify", "--a", "3..3", "--m", "9..9", "--json")
         assert code == EXIT_VERIFY_FAILED
         payload = json.loads(out)
@@ -376,3 +399,21 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert proc.returncode == EXIT_DOMAIN
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # far more output than a pipe buffers, so writes fail once the
+        # reader has gone, as in `gencong pow < requests | head -1`
+        requests = tmp_path / "requests.txt"
+        requests.write_text("6 25604 105765\n" * 20000)
+        with requests.open() as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "gencong", "pow"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            assert '"residue": "1296"' in proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
