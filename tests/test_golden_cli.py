@@ -35,6 +35,13 @@ BATCH_STDIN = (
     "10 1000000000000000000000000000000 -34\n"
 )
 
+#: Exponents for the string fold, which converts decimals of more than 300
+#: digits in 300-digit chunks: batch lines of exactly 300, 301 and 600 digits,
+#: and a 700-digit N behind leading zeros.
+N_400 = "1234567890" * 40
+N_LONG = "000" + "9876543210" * 70
+BOUNDARY_STDIN = "".join(f"6 {('31415926535897932384' * 30)[:k]} 105765\n" for k in (300, 301, 600))
+
 #: (argv, stdin) for every recorded case.
 INPUTS = [
     (["reduce", "6", "105765"], ""),
@@ -91,6 +98,16 @@ INPUTS = [
     (["selftest", "--json"], ""),
     ([], ""),
     (["frobnicate"], ""),
+    # appended, so the cases above keep their test ids
+    (["pow", "6", "0025604", "105765", "--trace"], ""),
+    (["pow", "2", "-0", "5"], ""),
+    (["pow", "2", "-00", "5", "--json"], ""),
+    (["pow", "2", "00", "4"], ""),
+    (["pow", "3", N_400, "1"], ""),
+    (["pow", "3", N_400, "-1"], ""),
+    (["pow", "12", N_LONG, "-105765", "--trace"], ""),
+    (["pow", "2", "0" * 700 + "3", "1024", "--json"], ""),
+    (["pow"], BOUNDARY_STDIN),
 ]
 
 
