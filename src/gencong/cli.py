@@ -7,8 +7,10 @@ minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
 
 Each handler takes the parsed ``argparse.Namespace`` and returns through
 ``_emit``, the one place that picks text or JSON (batch mode streams JSON
-lines itself).  Powers go through ``reduction.solve``, as in the library; a
-``verify --json`` witness is the ``reduce`` JSON object plus ``lhs``/``rhs``.
+lines itself, with an error record for each line it cannot answer).  Powers
+go through ``reduction.solve``, as in the library, with ``N`` passed as its
+digit string so it is folded in linear time and never converted to an int;
+a ``verify --json`` witness is the ``reduce`` JSON object plus ``lhs``/``rhs``.
 """
 
 from __future__ import annotations
@@ -117,9 +119,14 @@ def _factorization_payload(f: Factorization) -> dict:
     return {"n": str(f.n), "phi": str(f.phi), "factors": factors}
 
 
-def _congruence_line(a: int, exponent: int, reduced: int, m: int) -> str:
+def _congruence_line(a: int, exponent: str, reduced: int, m: int) -> str:
     base = f"({a})" if a < 0 else str(a)
     return f"{base}^{exponent} ≡ {base}^{reduced} (mod {m})"
+
+
+def _exit_code(err: CliError | ValueError) -> int:
+    """A ``CliError`` carries its code; a ``ValueError`` is a library domain check."""
+    return err.code if isinstance(err, CliError) else EXIT_DOMAIN
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
@@ -136,13 +143,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return _emit(args, lambda: _chain_payload(chain), lambda: _chain_lines(chain))
 
 
-def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, int, int]:
+def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, str, int]:
+    """``(a, N, m)`` with ``N`` as its digits, leading zeros stripped (``-0`` is ``0``).
+
+    ``N`` stays a string: ``solve`` folds it without the quadratic ``int()``.
+    """
     a_text, n_text, m_text = fields
     a = _parse_int(a_text, "a")
-    exponent = _parse_int(n_text, "N")
-    if exponent < 0:
+    if not _INTEGER_RE.fullmatch(n_text):
+        raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}")
+    digits = n_text.lstrip("-").lstrip("0") or "0"
+    if n_text.startswith("-") and digits != "0":
         raise CliError(EXIT_USAGE, "N must be non-negative")
-    return a, exponent, _parse_int(m_text, "m")
+    return a, digits, _parse_int(m_text, "m")
 
 
 def cmd_pow(args: argparse.Namespace) -> int:
@@ -162,16 +175,27 @@ def cmd_pow(args: argparse.Namespace) -> int:
 
 
 def _pow_batch() -> int:
-    """One 'a N m' request per stdin line; one JSON object per output line."""
-    for raw in sys.stdin:
+    """One 'a N m' request per stdin line; one JSON object per output line.
+
+    A line that fails prints ``{"line": k, "error": ..., "code": ...}`` (``k``
+    counts stdin lines from 1) and the batch goes on; the exit code is the
+    highest code of any line.
+    """
+    worst = EXIT_OK
+    for line_no, raw in enumerate(sys.stdin, 1):
         fields = raw.split()
         if not fields:
             continue
-        if len(fields) != 3:
-            raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-        a, exponent, m = _parse_pow_operands(fields)
-        print(json.dumps(_pow_payload(*solve(a, exponent, m))))
-    return EXIT_OK
+        try:
+            if len(fields) != 3:
+                raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
+            record = _pow_payload(*solve(*_parse_pow_operands(fields)))
+        except (CliError, ValueError) as err:
+            code = _exit_code(err)
+            worst = max(worst, code)
+            record = {"line": line_no, "error": str(err), "code": code}
+        print(json.dumps(record))
+    return worst
 
 
 def cmd_totient(args: argparse.Namespace) -> int:
@@ -340,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
-    except (CliError, ValueError) as err:  # ValueError: the library's domain checks
+    except (CliError, ValueError) as err:
         print(f"gencong: error: {err}", file=sys.stderr)
-        return err.code if isinstance(err, CliError) else EXIT_DOMAIN
+        return _exit_code(err)
     except BrokenPipeError:  # e.g. `| head -1`; fd 1 -> devnull so the exit flush can't fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return EXIT_BROKEN_PIPE

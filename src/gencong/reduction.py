@@ -12,10 +12,15 @@ what makes powers with thousand-digit exponents cheap.
 
 Sign conventions: phi(m) == phi(-m) and congruence mod m equals congruence
 mod -m, so the chain is always built on |m|; gcds are taken positive.
+
+Exponents may also be given as decimal strings, which are folded chunk by
+chunk and never converted to one integer: before 3.12, CPython converts a
+decimal string to int in time quadratic in its length.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,6 +37,12 @@ __all__ = [
     "solve",
     "verify_theorem",
 ]
+
+#: Digits per ``int()`` call when folding a decimal-string exponent; longer
+#: chunks pay the quadratic conversion, shorter ones more Python-level steps.
+CHUNK_DIGITS = 300
+
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,13 +148,25 @@ def verify_theorem(a: int, m: int) -> TheoremCheck:
     return TheoremCheck(ok=lhs == rhs, lhs=lhs, rhs=rhs, chain=chain)
 
 
-def reduce_exponent(chain: ReductionChain, exponent: int) -> int:
+def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:
     """Fold ``exponent`` to an equivalent one below ``s + phi(m_s)``.
 
     ``a**N == a**E (mod |m|)`` for the returned ``E``: exponents at least
     ``s`` reduce to ``s + ((N - s) mod phi(m_s))``; smaller ones pass through
     unchanged (they are below ``log2(|m|)``, so direct evaluation is cheap).
+
+    ``exponent`` is a non-negative int or a string of ASCII digits (leading
+    zeros allowed).  A string longer than :data:`CHUNK_DIGITS` digits is
+    folded in linear time, by Horner's rule over chunks of that many digits.
     """
+    if isinstance(exponent, str):
+        if not _DIGITS_RE.fullmatch(exponent):
+            raise ValueError(f"exponent must be ASCII decimal digits, got {exponent[:40]!r}")
+        digits = exponent.lstrip("0")
+        if len(digits) > CHUNK_DIGITS:
+            # N >= 10**CHUNK_DIGITS, far past s <= log2|m| + 1
+            return chain.s + (_mod_decimal(digits, chain.phi_ms) - chain.s) % chain.phi_ms
+        exponent = int(digits or "0")
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     if exponent < chain.s:
@@ -151,19 +174,29 @@ def reduce_exponent(chain: ReductionChain, exponent: int) -> int:
     return chain.s + (exponent - chain.s) % chain.phi_ms
 
 
-def solve(a: int, exponent: int, m: int) -> tuple[ReductionChain, int, int]:
+def _mod_decimal(digits: str, modulus: int) -> int:
+    """``int(digits) % modulus`` without building ``int(digits)``."""
+    scale = pow(10, CHUNK_DIGITS, modulus)
+    head = len(digits) % CHUNK_DIGITS or CHUNK_DIGITS
+    residue = int(digits[:head]) % modulus
+    for start in range(head, len(digits), CHUNK_DIGITS):
+        residue = (residue * scale + int(digits[start:start + CHUNK_DIGITS])) % modulus
+    return residue
+
+
+def solve(a: int, exponent: int | str, m: int) -> tuple[ReductionChain, int, int]:
     """``(chain, reduced_exponent, residue)`` for ``a**exponent mod |m|``.
 
     The residue lies in ``[0, |m|)`` and equals ``a**reduced_exponent``
     mod ``|m|``.  It agrees with naive modular exponentiation on all inputs,
-    but the work is bounded by ``|m|`` rather than the exponent, so decimal
-    exponents with thousands of digits are fine.
+    but the work is bounded by ``|m|`` and the exponent's digit count, so
+    an exponent given as a decimal string of millions of digits is fine.
     """
     chain = build_chain(a, m)
     reduced = reduce_exponent(chain, exponent)
     return chain, reduced, mod_pow(a, reduced, chain.m_norm)
 
 
-def reduced_pow(a: int, exponent: int, m: int) -> int:
+def reduced_pow(a: int, exponent: int | str, m: int) -> int:
     """``a**exponent mod |m|`` in ``[0, |m|)``: the residue of :func:`solve`."""
     return solve(a, exponent, m)[2]

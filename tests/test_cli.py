@@ -138,9 +138,10 @@ class TestPowCommand:
         assert "(-6)^25604" in out
 
     def test_negative_exponent_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "pow", "2", "-3", "5")
-        assert code == EXIT_USAGE
-        assert "non-negative" in err
+        for exponent in ("-3", "-05", "-" + "0" * 400 + "1"):
+            code, _, err = run_cli(capsys, "pow", "2", exponent, "5")
+            assert code == EXIT_USAGE
+            assert "non-negative" in err
 
     def test_text_and_json_agree(self, capsys):
         cases = [(6, 25604, 105765), (2, 80, 4), (0, 0, 9), (-15, 33, 24), (10, 10**30, 34)]
@@ -179,9 +180,23 @@ class TestPowCommand:
 
     def test_batch_mode_bad_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("6 25604\n"))
-        code, _, err = run_cli(capsys, "pow")
+        code, out, err = run_cli(capsys, "pow")
         assert code == EXIT_USAGE
-        assert "batch line" in err
+        assert err == ""
+        assert json.loads(out) == {
+            "line": 1, "error": "batch line must be 'a N m', got '6 25604'", "code": EXIT_USAGE,
+        }
+
+    def test_batch_mode_keeps_going_after_bad_lines(self, capsys, monkeypatch):
+        stdin = "6 25604 105765\n\n5 3 0\nx 1 5\n7 0 13\n2 -1 5\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, _ = run_cli(capsys, "pow")
+        assert code == EXIT_DOMAIN  # the highest code of any line
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("residue") for r in records] == ["1296", None, None, "1", None]
+        assert [(r.get("line"), r.get("code")) for r in records] == [
+            (None, None), (3, EXIT_DOMAIN), (4, EXIT_USAGE), (None, None), (6, EXIT_USAGE),
+        ]
 
 
 class TestTotientCommand:
@@ -367,6 +382,13 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "pow", "6", exponent, "105765")
         assert code == EXIT_OK
         assert int(parse_summary(out)["residue"]) == pow(6, 10**5000 - 1, 105765)
+
+    def test_million_digit_exponent_on_stdin(self, capsys, monkeypatch):
+        # argv cannot carry an operand this long; batch stdin can
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"6 {'9' * 10**6} 105765\n"))
+        code, out, _ = run_cli(capsys, "pow")
+        assert code == EXIT_OK
+        assert json.loads(out)["residue"] == str(pow(6, 10**10**6 - 1, 105765))
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int/str conversion limit on this Python")

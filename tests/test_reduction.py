@@ -1,13 +1,15 @@
 """Tests for reduction chains, the congruence, and exponent folding."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencong.arith import mod_pow, totient
 from gencong.reduction import (
+    CHUNK_DIGITS,
     ReductionStep,
     build_chain,
     cofactors,
@@ -242,3 +244,69 @@ class TestReducedPow:
         exponent = 10**10000 + 12345
         assert reduced_pow(2, exponent, 4) == 0
         assert reduced_pow(6, exponent, 105765) == pow(6, exponent, 105765)
+
+
+K = CHUNK_DIGITS
+
+#: Bases sharing a prime power with a structured modulus m = +-p**e * q, so
+#: the chain is up to about 10 steps deep.
+structured_pairs = st.builds(
+    lambda p, e, f, u, q, sign_a, sign_m: (sign_a * p**f * u, sign_m * p**e * q),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+)
+
+#: Decimal strings with leading zeros whose value is either small (around s)
+#: or K-1, K, K+1, 2K or any other number of digits up to 3K.
+digit_counts = st.sampled_from((K - 1, K, K + 1, 2 * K)) | st.integers(min_value=1, max_value=3 * K)
+decimal_texts = st.builds(
+    lambda zeros, body: "0" * zeros + body,
+    st.integers(min_value=0, max_value=2 * K),
+    st.integers(min_value=0, max_value=12).map(str)
+    | digit_counts.flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+)
+
+
+class TestDecimalStringExponent:
+    @settings(max_examples=400, deadline=None)
+    @given(structured_pairs, decimal_texts)
+    @example((2, 1024), "0" * (3 * K) + "3")  # padded past K, value below s = 10
+    @example((2, 1024), "0" * (3 * K) + "10")  # N = s
+    @example((3, 1), "7" * (2 * K))  # m = 1, phi = 1
+    def test_matches_int_path(self, pair, text):
+        a, m = pair
+        chain = build_chain(a, m)
+        assert reduce_exponent(chain, text) == reduce_exponent(chain, int(text))
+        assert solve(a, text, m)[2] == pow(a, int(text), abs(m))
+
+    @pytest.mark.parametrize("digits", [K - 1, K, K + 1, 2 * K, 2 * K + 1])
+    def test_chunk_boundaries(self, digits):
+        text = ("31415926535897932384" * (digits // 20 + 1))[:digits]
+        for a, m in ((6, 105765), (2, 1024), (-14, -7**5 * 1009)):
+            chain = build_chain(a, m)
+            assert reduce_exponent(chain, text) == reduce_exponent(chain, int(text))
+            assert reduce_exponent(chain, "000" + text) == reduce_exponent(chain, int(text))
+
+    @pytest.mark.parametrize("text", ["-5", " 5", "5 ", "5\n", "1_0", "", "+5", "0x5", "1.0",
+                                      "\u0663", "\uff15", "12\u0663"])
+    def test_malformed_strings_rejected(self, text):
+        chain = build_chain(6, 105765)
+        with pytest.raises(ValueError):
+            reduce_exponent(chain, text)
+        with pytest.raises(ValueError):
+            solve(6, text, 105765)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str conversion limit on this Python")
+    def test_million_digits_never_become_an_int(self):
+        # int() of more than 4300 digits raises under the default limit
+        sys.set_int_max_str_digits(4300)
+        chain = build_chain(6, 105765)
+        reduced = reduce_exponent(chain, "9" * 10**6)
+        n_mod_phi = (pow(10, 10**6, chain.phi_ms) - 1) % chain.phi_ms  # N = 10**(10**6) - 1
+        assert reduced == chain.s + (n_mod_phi - chain.s) % chain.phi_ms
