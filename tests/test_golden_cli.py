@@ -108,6 +108,9 @@ INPUTS = [
     (["pow", "12", N_LONG, "-105765", "--trace"], ""),
     (["pow", "2", "0" * 700 + "3", "1024", "--json"], ""),
     (["pow"], BOUNDARY_STDIN),
+    (["verify", "--a", "-40..40", "--m", "-40..40", "--json"], ""),
+    (["verify", "--a", "0..0", "--m", "1..60"], ""),
+    (["verify", "--a", "-300..300", "--m", "1..300"], ""),
 ]
 
 
