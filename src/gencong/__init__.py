@@ -21,6 +21,7 @@ from .reduction import (
     reduce_exponent,
     reduced_pow,
     solve,
+    verify_sweep,
     verify_theorem,
 )
 
@@ -40,6 +41,7 @@ __all__ = [
     "reduced_pow",
     "solve",
     "totient",
+    "verify_sweep",
     "verify_theorem",
     "__version__",
 ]

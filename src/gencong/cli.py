@@ -9,8 +9,11 @@ Each handler takes the parsed ``argparse.Namespace`` and returns through
 ``_emit``, the one place that picks text or JSON (batch mode streams JSON
 lines itself, with an error record for each line it cannot answer).  Powers
 go through ``reduction.solve``, as in the library, with ``N`` passed as its
-digit string so it is folded in linear time and never converted to an int;
-a ``verify --json`` witness is the ``reduce`` JSON object plus ``lhs``/``rhs``.
+digit string so it is folded in linear time and never converted to an int.
+``verify`` goes through ``reduction.verify_sweep``, which builds one chain
+per ``(m, gcd(a, m))`` class and evaluates both sides for every pair; a
+failing pair's witness is its own chain, and under ``--json`` it is the
+``reduce`` JSON object plus ``lhs``/``rhs``.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from typing import Callable, Iterable
 from .arith import Factorization, factorize, totient
 from .reduction import (
     ReductionChain,
-    TheoremCheck,
     build_chain,
     mod_pow,  # noqa: F401  re-exported; bench/test_bench.py traces cli.mod_pow
     reduced_pow,
     solve,
-    verify_theorem,
+    verify_sweep,
 )
 
 EXIT_OK = 0
@@ -221,16 +223,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             EXIT_USAGE,
             f"{total} pairs exceed the safety cap of {args.cap}; raise --cap to allow this",
         )
-    checked = 0
-    failures: list[TheoremCheck] = []
-    for a in a_range:
-        for m in m_range:
-            if m == 0:
-                continue
-            check = verify_theorem(a, m)
-            checked += 1
-            if not check.ok:
-                failures.append(check)
+    checked, failures = verify_sweep(a_range, m_range)
     return _emit(args, lambda: {
         "checked": checked,
         "failures": len(failures),
@@ -258,11 +251,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
         ("totient(35255) = 25600", totient(35255) == 25600),
         (
             "congruence holds for |a| <= m <= 40",
-            all(
-                verify_theorem(a, m).ok
-                for m in range(1, 41)
-                for a in range(-m, m + 1)
-            ),
+            not any(verify_sweep(range(-m, m + 1), (m,))[1] for m in range(1, 41)),
         ),
         (
             "reduced powers match direct evaluation",

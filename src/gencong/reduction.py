@@ -21,6 +21,7 @@ decimal string to int in time quadratic in its length.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,6 +36,7 @@ __all__ = [
     "reduce_exponent",
     "reduced_pow",
     "solve",
+    "verify_sweep",
     "verify_theorem",
 ]
 
@@ -146,6 +148,48 @@ def verify_theorem(a: int, m: int) -> TheoremCheck:
     lhs = mod_pow(a, chain.phi_ms + chain.s, chain.m_norm)
     rhs = mod_pow(a, chain.s, chain.m_norm)
     return TheoremCheck(ok=lhs == rhs, lhs=lhs, rhs=rhs, chain=chain)
+
+
+def verify_sweep(a_values: Sequence[int],
+                 m_values: Sequence[int]) -> tuple[int, list[TheoremCheck]]:
+    """Check the congruence for every pair ``(a, m)`` with ``m != 0``.
+
+    Returns the number of pairs checked and the falsy checks, in a-major
+    order.  The chain depends on ``a`` only through ``g = gcd(a, m)``, so
+    the first pair of each class ``(m, g)`` goes through
+    :func:`verify_theorem`, and every later one is checked by evaluating
+    both sides with that class's exponents ``phi_ms + s`` and ``s``.  A later
+    pair that fails gets its own chain as the witness.  Pairs are visited
+    modulus by modulus, so only one modulus's classes are held at a time;
+    ``a_values`` is therefore iterated once per modulus and may not be a
+    one-shot iterator.
+    """
+    if iter(a_values) is a_values:
+        raise TypeError("a_values must be a sequence such as a range, not an iterator")
+    checked = 0
+    failures: list[tuple[int, TheoremCheck]] = []
+    for m in m_values:
+        if m == 0:
+            continue
+        m_norm = abs(m)
+        exponents: dict[int, tuple[int, int]] = {}  # g -> (phi_ms + s, s)
+        i = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
+        for i, a in enumerate(a_values, 1):
+            g = gcd(a, m_norm)
+            known = exponents.get(g)
+            if known is None:
+                check = verify_theorem(a, m)
+                exponents[g] = (check.chain.phi_ms + check.chain.s, check.chain.s)
+                if not check:
+                    failures.append((i, check))
+                continue
+            lhs, rhs = pow(a, known[0], m_norm), pow(a, known[1], m_norm)
+            if lhs != rhs:
+                check = TheoremCheck(ok=False, lhs=lhs, rhs=rhs, chain=build_chain(a, m))
+                failures.append((i, check))
+        checked += i
+    failures.sort(key=lambda failure: failure[0])  # stable: m order kept within one a
+    return checked, [check for _, check in failures]
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:

@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from gencong import arith, cli
+from gencong import arith, cli, reduction
 from gencong.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DOMAIN,
@@ -318,7 +319,7 @@ class TestVerifyCommand:
     def test_failure_prints_witness_and_exits_3(self, capsys, monkeypatch):
         chain = build_chain(3, 9)
         fake = TheoremCheck(ok=False, lhs=1, rhs=2, chain=chain)
-        monkeypatch.setattr(cli, "verify_theorem", lambda a, m: fake)
+        monkeypatch.setattr(reduction, "verify_theorem", lambda a, m: fake)
         code, out, _ = run_cli(capsys, "verify", "--a", "3..3", "--m", "9..9")
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL a=3 m=9" in out
@@ -331,6 +332,27 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["failures"] == 1
         assert payload["witnesses"][0]["lhs"] == "1"
+
+    def test_failure_after_class_representative_gets_own_witness(self, capsys, monkeypatch):
+        # a = 1 and a = 2 share the class gcd(a, 9) = 1; the representative
+        # a = 1 passes but hands on a wrong phi_ms, so only a = 2 fails
+        def wrong_phi(a, m):
+            return TheoremCheck(ok=True, lhs=0, rhs=0,
+                                chain=dataclasses.replace(build_chain(a, m), phi_ms=5))
+
+        monkeypatch.setattr(reduction, "verify_theorem", wrong_phi)
+        code, out, _ = run_cli(capsys, "verify", "--a", "1..2", "--m", "9..9")
+        assert code == EXIT_VERIFY_FAILED
+        reduce_out = run_cli(capsys, "reduce", "2", "9")[1]
+        assert out.splitlines() == ["FAIL a=2 m=9: lhs=5 rhs=1", *reduce_out.splitlines(),
+                                    "2 checked, 1 failures"]
+        code, out, _ = run_cli(capsys, "verify", "--a", "1..2", "--m", "9..9", "--json")
+        assert code == EXIT_VERIFY_FAILED
+        payload = json.loads(out)
+        assert (payload["checked"], payload["failures"]) == (2, 1)
+        reduce_json = json.loads(run_cli(capsys, "reduce", "2", "9", "--json")[1])
+        assert payload["witnesses"] == [{**reduce_json, "lhs": "5", "rhs": "1"}]
+        assert payload["witnesses"][0]["a"] == "2"
 
 
 class TestSelftestCommand:

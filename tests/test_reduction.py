@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gencong import reduction
 from gencong.arith import mod_pow, totient
 from gencong.reduction import (
     CHUNK_DIGITS,
@@ -16,6 +17,7 @@ from gencong.reduction import (
     reduce_exponent,
     reduced_pow,
     solve,
+    verify_sweep,
     verify_theorem,
 )
 
@@ -310,3 +312,73 @@ class TestDecimalStringExponent:
         reduced = reduce_exponent(chain, "9" * 10**6)
         n_mod_phi = (pow(10, 10**6, chain.phi_ms) - 1) % chain.phi_ms  # N = 10**(10**6) - 1
         assert reduced == chain.s + (n_mod_phi - chain.s) % chain.phi_ms
+
+
+class TestChainDependsOnlyOnGcd:
+    """``verify_sweep`` builds one chain per ``(m, gcd(a, m))``; this is why that is sound."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(structured_pairs, st.booleans(), st.integers(min_value=0, max_value=10**6),
+           st.sampled_from((1, -1)))
+    @example((0, 2**10 * 3), False, 0, -1)
+    @example((-(2**3) * 9, -(2**10) * 3), False, 5, 1)
+    def test_equal_gcd_gives_equal_chain(self, pair, zero_base, t, sign):
+        a, m = pair
+        if zero_base:
+            a = 0
+        g = math.gcd(a, m)
+        other = sign * g * (1 + t * (abs(m) // g))  # gcd(other, m) == g by construction
+        assert math.gcd(other, m) == g
+        chain, twin = build_chain(a, m), build_chain(other, m)
+        assert (twin.steps, twin.s, twin.m_s, twin.phi_ms, twin.m_norm) == (
+            chain.steps,
+            chain.s,
+            chain.m_s,
+            chain.phi_ms,
+            chain.m_norm,
+        )
+
+
+def _pairwise_failures(a_values, m_values):
+    """The falsy ``verify_theorem`` results of a plain a-major double loop."""
+    checks = (verify_theorem(a, m) for a in a_values for m in m_values if m != 0)
+    return [check for check in checks if not check]
+
+
+class TestVerifySweep:
+    def test_passing_ranges(self):
+        assert verify_sweep(range(-30, 31), range(-30, 31)) == (61 * 60, [])
+        assert verify_sweep(range(0, 1), range(1, 61)) == (60, [])
+        assert verify_sweep((6,), (105765,)) == (1, [])
+        assert verify_sweep(range(5), (0,)) == (0, [])
+        assert verify_sweep((), (7,)) == (0, [])
+
+    def test_rejects_a_one_shot_iterator(self):
+        # the bases are visited once per modulus, so an iterator would be
+        # exhausted after the first one and the count silently short
+        with pytest.raises(TypeError):
+            verify_sweep(iter(range(3)), (5, 6))
+
+    def test_matches_pairwise_checks_under_a_wrong_totient(self, monkeypatch):
+        real = reduction.totient
+        monkeypatch.setattr(reduction, "totient", lambda n: 5 if n == 9 else real(n))
+        a_values, m_values = range(-20, 21), range(-27, 28)
+        expected = _pairwise_failures(a_values, m_values)
+        assert 0 < len(expected) < len(a_values) * (len(m_values) - 1)
+        # some failing pairs are not the first of their class
+        assert len(expected) > len({(c.chain.m_input, c.chain.steps[0].d) for c in expected})
+        assert verify_sweep(a_values, m_values) == (len(a_values) * (len(m_values) - 1), expected)
+
+    def test_one_verify_theorem_call_per_class(self, monkeypatch):
+        calls = []
+        real = reduction.verify_theorem
+        monkeypatch.setattr(reduction, "verify_theorem",
+                            lambda a, m: calls.append((a, m)) or real(a, m))
+        a_values, m_values = range(-50, 51), range(1, 41)
+        assert verify_sweep(a_values, m_values) == (101 * 40, [])
+        classes = {(m, math.gcd(a, m)) for a in a_values for m in m_values}
+        assert len(calls) == len(classes)
+        # each class is checked through its first member in a-major order
+        assert {(m, math.gcd(a, m)) for a, m in calls} == classes
+        assert all(a == min(b for b in a_values if math.gcd(b, m) == math.gcd(a, m))
+                   for a, m in calls)
