@@ -42,6 +42,10 @@ N_400 = "1234567890" * 40
 N_LONG = "000" + "9876543210" * 70
 BOUNDARY_STDIN = "".join(f"6 {('31415926535897932384' * 30)[:k]} 105765\n" for k in (300, 301, 600))
 
+#: A 4,401-digit modulus, past CPython's default 4,300-digit int/str limit,
+#: which ``main`` lifts for its own call.
+M_LONG = "1" + "0" * 4400
+
 #: (argv, stdin) for every recorded case.
 INPUTS = [
     (["reduce", "6", "105765"], ""),
@@ -111,6 +115,11 @@ INPUTS = [
     (["verify", "--a", "-40..40", "--m", "-40..40", "--json"], ""),
     (["verify", "--a", "0..0", "--m", "1..60"], ""),
     (["verify", "--a", "-300..300", "--m", "1..300"], ""),
+    (["reduce", M_LONG, M_LONG], ""),
+    (["reduce", "-" + "3" * 4400, "12"], ""),
+    (["pow", "7", "25604", "-" + M_LONG, "--json"], ""),
+    (["totient", M_LONG], ""),
+    (["verify", "--a", "0..1", "--m", f"{M_LONG}..{M_LONG}"], ""),
 ]
 
 
