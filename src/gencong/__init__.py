@@ -11,37 +11,10 @@ congruence: exponents of a^N mod m fold down to s + ((N - s) mod phi(m_s))
 for any base whatsoever.
 """
 
-from .arith import Factorization, factorize, is_prime, mod_pow, totient
-from .reduction import (
-    ReductionChain,
-    ReductionStep,
-    TheoremCheck,
-    build_chain,
-    cofactors,
-    reduce_exponent,
-    reduced_pow,
-    solve,
-    verify_sweep,
-    verify_theorem,
-)
+from . import arith, reduction
+from .arith import *  # noqa: F403  republishes arith.__all__
+from .reduction import *  # noqa: F403  republishes reduction.__all__
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Factorization",
-    "ReductionChain",
-    "ReductionStep",
-    "TheoremCheck",
-    "build_chain",
-    "cofactors",
-    "factorize",
-    "is_prime",
-    "mod_pow",
-    "reduce_exponent",
-    "reduced_pow",
-    "solve",
-    "totient",
-    "verify_sweep",
-    "verify_theorem",
-    "__version__",
-]
+__all__ = [*arith.__all__, *reduction.__all__, "__version__"]

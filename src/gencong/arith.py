@@ -140,7 +140,12 @@ def _pollard_brent(n: int) -> int:
 
 
 def _split(n: int) -> list[int]:
-    """Prime factors of n, which must have no factor below the trial bound."""
+    """Prime factors of n, the cofactor left when trial division stops.
+
+    Trial division stops at the first prime ``p`` with ``p * p > n``, leaving
+    ``n`` prime (``factorize(4 * 293)`` passes 293), or after the last trial
+    prime, leaving ``n`` with no factor below the trial bound.
+    """
     if is_prime(n):
         return [n]
     d = _pollard_brent(n)

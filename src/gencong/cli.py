@@ -5,9 +5,11 @@ minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
 ``ValueError`` from the library, e.g. zero modulus), 3 verification failure,
 141 stdout closed early (as a shell reports a writer killed by SIGPIPE).
 
-Each handler takes the parsed ``argparse.Namespace`` and returns through
-``_emit``, the one place that picks text or JSON (batch mode streams JSON
-lines itself, with an error record for each line it cannot answer).  Powers
+Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
+the parser is the one list of subcommands.  A handler takes the parsed
+``argparse.Namespace`` and returns through ``_emit``, the one place that
+picks text or JSON (batch mode streams JSON lines itself, with an error
+record for each line it cannot answer).  Powers
 go through ``reduction.solve``, as in the library, with ``N`` passed as its
 digit string so it is folded in linear time and never converted to an int.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
@@ -279,15 +281,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     ], EXIT_VERIFY_FAILED if failed else EXIT_OK)
 
 
-_HANDLERS = {
-    "reduce": cmd_reduce,
-    "pow": cmd_pow,
-    "totient": cmd_totient,
-    "verify": cmd_verify,
-    "selftest": cmd_selftest,
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gencong",
@@ -298,6 +291,7 @@ def _build_parser() -> _Parser:
     p_reduce = sub.add_parser("reduce", help="print the chain (steps, s, m_s, phi) for a and m")
     p_reduce.add_argument("operands", nargs="*", metavar="OPERAND", help="a m")
     p_reduce.add_argument("--json", action="store_true", help="emit a JSON object")
+    p_reduce.set_defaults(handler=cmd_reduce)
 
     p_pow = sub.add_parser("pow", help="compute a^N mod m by exponent reduction")
     p_pow.add_argument("operands", nargs="*", metavar="OPERAND",
@@ -307,11 +301,13 @@ def _build_parser() -> _Parser:
     p_pow_format.add_argument("--trace", action="store_true",
                               help="also print the chain table and the congruence line "
                                    "(text only, needs operands)")
+    p_pow.set_defaults(handler=cmd_pow)
 
     p_tot = sub.add_parser("totient", help="print phi(n)")
     p_tot.add_argument("operands", nargs="*", metavar="OPERAND", help="n")
     p_tot.add_argument("--json", action="store_true",
                        help="emit a JSON object with the factorization")
+    p_tot.set_defaults(handler=cmd_totient)
 
     p_verify = sub.add_parser("verify", help="check the congruence over ranges of a and m")
     p_verify.add_argument("--a", metavar="LO..HI", help="inclusive range of bases")
@@ -319,9 +315,11 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP, metavar="K",
                           help=f"maximum number of pairs, at least 1 (default {DEFAULT_VERIFY_CAP})")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON summary")
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_self = sub.add_parser("selftest", help="run the built-in regression checks")
     p_self.add_argument("--json", action="store_true", help="emit a JSON summary")
+    p_self.set_defaults(handler=cmd_selftest)
 
     return parser
 
@@ -350,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_range_values(list(argv)))
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
     except (CliError, ValueError) as err:

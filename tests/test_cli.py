@@ -422,6 +422,11 @@ class TestParsing:
             assert code == EXIT_OK
             assert sys.get_int_max_str_digits() == 4321
             assert int(parse_summary(out)["residue"]) == pow(6, 10**5000 - 1, 105765)
+            m_long = "1" + "0" * 4400  # 4,401 digits: int() of it needs the lift
+            code, out, _ = run_cli(capsys, "reduce", "7", m_long)
+            assert code == EXIT_OK
+            assert sys.get_int_max_str_digits() == 4321
+            assert parse_summary(out)["m_s"] == m_long
         finally:
             sys.set_int_max_str_digits(saved)
 
