@@ -9,9 +9,9 @@ Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
 the parser is the one list of subcommands.  A handler takes the parsed
 ``argparse.Namespace`` and returns through ``_emit``, the one place that
 picks text or JSON (batch mode streams JSON lines itself, with an error
-record for each line it cannot answer).  Powers
-go through ``reduction.solve``, as in the library, with ``N`` passed as its
-digit string so it is folded in linear time and never converted to an int.
+record for each line it cannot answer).  Powers go through
+``reduction.solve``, as in the library, with ``N`` passed as its digit
+string so it is folded in linear time and never converted to an int.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
 per ``(m, gcd(a, m))`` class and evaluates both sides for every pair; a
 failing pair's witness is its own chain, and under ``--json`` it is the
