@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 __all__ = [
     "Factorization",
@@ -49,8 +49,7 @@ _PSI_BOUNDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization ``n == prod(p**e)``, primes strictly increasing.
 
     ``factors`` is empty exactly when ``n == 1``.

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import mod_pow, totient
 
@@ -47,8 +47,7 @@ CHUNK_DIGITS = 300
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One chain row: ``d`` divides the running modulus, ``m_rem`` is the quotient."""
 
     index: int
@@ -56,8 +55,7 @@ class ReductionStep:
     m_rem: int
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionChain:
+class ReductionChain(NamedTuple):
     """Full gcd chain for ``(a, m)``, ending at the first step with ``d == 1``.
 
     ``s`` is the index of that terminal step, ``m_s`` its modulus, and
@@ -76,8 +74,7 @@ class ReductionChain:
     a0: int
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Witness for one congruence check: both sides evaluated directly.
 
     ``lhs = a**(phi_ms + s) mod |m|`` and ``rhs = a**s mod |m|`` for the
@@ -92,6 +89,7 @@ class TheoremCheck:
     chain: ReductionChain
 
     def __bool__(self) -> bool:
+        # a non-empty tuple is always truthy; the check is as true as ``ok``
         return self.ok
 
 

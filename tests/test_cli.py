@@ -1,6 +1,5 @@
 """Integration tests for the command-line interface."""
 
-import dataclasses
 import io
 import json
 import subprocess
@@ -338,7 +337,7 @@ class TestVerifyCommand:
         # a = 1 passes but hands on a wrong phi_ms, so only a = 2 fails
         def wrong_phi(a, m):
             return TheoremCheck(ok=True, lhs=0, rhs=0,
-                                chain=dataclasses.replace(build_chain(a, m), phi_ms=5))
+                                chain=build_chain(a, m)._replace(phi_ms=5))
 
         monkeypatch.setattr(reduction, "verify_theorem", wrong_phi)
         code, out, _ = run_cli(capsys, "verify", "--a", "1..2", "--m", "9..9")

@@ -1,5 +1,11 @@
 """The package surface: ``gencong`` republishes its modules' ``__all__``."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import gencong
 from gencong import arith, reduction
 
@@ -14,3 +20,18 @@ def test_package_republishes_each_modules_all():
             if callable(exported):
                 assert exported.__module__ == module.__name__, name
     assert gencong.MILLER_RABIN_ROUNDS == arith.MILLER_RABIN_ROUNDS
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # a structural check, not a timing one: dataclasses pulls in the other
+    # four, and importing them was the largest share of each CLI start
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    src = Path(gencong.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import json, sys, gencong.cli; "
+         f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencong import reduction
-from gencong.arith import mod_pow, totient
+from gencong.arith import Factorization, factorize, mod_pow, totient
 from gencong.reduction import (
     CHUNK_DIGITS,
     ReductionStep,
+    TheoremCheck,
     build_chain,
     cofactors,
     reduce_exponent,
@@ -164,6 +165,36 @@ class TestVerifyTheorem:
     @given(bases, nonzero_moduli)
     def test_holds_everywhere(self, a, m):
         assert verify_theorem(a, m).ok
+
+
+class TestRecords:
+    def test_failed_check_is_falsy(self):
+        # a non-empty tuple is truthy, so verify_sweep's `if not check`
+        # relies on TheoremCheck.__bool__ returning ok
+        chain = build_chain(3, 9)
+        assert bool(TheoremCheck(ok=False, lhs=1, rhs=2, chain=chain)) is False
+        assert bool(TheoremCheck(ok=True, lhs=0, rhs=0, chain=chain)) is True
+
+    def test_fields_are_read_only(self):
+        records = [build_chain(6, 105765), build_chain(6, 105765).steps[0],
+                   verify_theorem(6, 105765), factorize(105765)]
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], 0)
+
+    def test_equal_records_hash_equal(self):
+        first, second = verify_theorem(6, 105765), verify_theorem(6, 105765)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert hash(build_chain(12, 18)) == hash(build_chain(12, 18))
+        assert hash(ReductionStep(0, 3, 35255)) == hash(ReductionStep(index=0, d=3, m_rem=35255))
+        assert hash(Factorization(64, ((2, 6),))) == hash(factorize(64))
+
+    def test_factorization_phi(self):
+        assert Factorization(n=1, factors=()).phi == 1
+        assert factorize(105765).phi == 51200
+        assert Factorization(n=2**20, factors=((2, 20),)).phi == 2**19
+        assert factorize(2**32 + 1).phi == 640 * 6700416
 
 
 class TestReduceExponent:
