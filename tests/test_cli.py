@@ -199,6 +199,43 @@ class TestPowCommand:
         ]
 
 
+    def test_batch_stream_bytes(self, capsys, monkeypatch):
+        # error records, m = +-1, negative a and m, chains with s >= 3 and
+        # N < s, each line exactly as json.dumps laid it out
+        stdin = ("6 25604 105765\n-6 25604 -105765\n5 7 1\n-5 7 -1\n12 100 -4096\n"
+                 "2 1 8\n\n5 3 0\nx 1 5\n2 -1 5\n1 2\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, _ = run_cli(capsys, "pow")
+        assert code == EXIT_DOMAIN
+        assert out.splitlines() == [
+            '{"a": "6", "m": "105765", "steps": [{"i": 0, "d": "3", "m_rem": "35255"}, '
+            '{"i": 1, "d": "1", "m_rem": "35255"}], "s": 1, "m_s": "35255", '
+            '"phi_m_s": "25600", "reduced_exponent": "4", "residue": "1296"}',
+            '{"a": "-6", "m": "105765", "steps": [{"i": 0, "d": "3", "m_rem": "35255"}, '
+            '{"i": 1, "d": "1", "m_rem": "35255"}], "s": 1, "m_s": "35255", '
+            '"phi_m_s": "25600", "reduced_exponent": "4", "residue": "1296"}',
+            '{"a": "5", "m": "1", "steps": [{"i": 0, "d": "1", "m_rem": "1"}], "s": 0, '
+            '"m_s": "1", "phi_m_s": "1", "reduced_exponent": "0", "residue": "0"}',
+            '{"a": "-5", "m": "1", "steps": [{"i": 0, "d": "1", "m_rem": "1"}], "s": 0, '
+            '"m_s": "1", "phi_m_s": "1", "reduced_exponent": "0", "residue": "0"}',
+            '{"a": "12", "m": "4096", "steps": [{"i": 0, "d": "4", "m_rem": "1024"}, '
+            '{"i": 1, "d": "4", "m_rem": "256"}, {"i": 2, "d": "4", "m_rem": "64"}, '
+            '{"i": 3, "d": "4", "m_rem": "16"}, {"i": 4, "d": "4", "m_rem": "4"}, '
+            '{"i": 5, "d": "4", "m_rem": "1"}, {"i": 6, "d": "1", "m_rem": "1"}], "s": 6, '
+            '"m_s": "1", "phi_m_s": "1", "reduced_exponent": "6", "residue": "0"}',
+            '{"a": "2", "m": "8", "steps": [{"i": 0, "d": "2", "m_rem": "4"}, '
+            '{"i": 1, "d": "2", "m_rem": "2"}, {"i": 2, "d": "2", "m_rem": "1"}, '
+            '{"i": 3, "d": "1", "m_rem": "1"}], "s": 3, "m_s": "1", "phi_m_s": "1", '
+            '"reduced_exponent": "1", "residue": "2"}',
+            '{"line": 8, "error": "modulus must be nonzero (the congruence requires m != 0)", '
+            '"code": 2}',
+            '{"line": 9, "error": "a must be a decimal integer, got \'x\'", "code": 1}',
+            '{"line": 10, "error": "N must be non-negative", "code": 1}',
+            '{"line": 11, "error": "batch line must be \'a N m\', got \'1 2\'", "code": 1}',
+        ]
+        assert out.endswith("}\n")
+
+
 class TestTotientCommand:
     def test_plain_value(self, capsys):
         code, out, _ = run_cli(capsys, "totient", "35255")
@@ -331,6 +368,12 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["failures"] == 1
         assert payload["witnesses"][0]["lhs"] == "1"
+        assert out == (  # bytes as json.dumps laid them out
+            '{"checked": 1, "failures": 1, "witnesses": [{"a": "3", "m": "9", "steps": '
+            '[{"i": 0, "d": "3", "m_rem": "3"}, {"i": 1, "d": "3", "m_rem": "1"}, '
+            '{"i": 2, "d": "1", "m_rem": "1"}], "s": 2, "m_s": "1", "phi_m_s": "1", '
+            '"lhs": "1", "rhs": "2"}]}\n'
+        )
 
     def test_failure_after_class_representative_gets_own_witness(self, capsys, monkeypatch):
         # a = 1 and a = 2 share the class gcd(a, 9) = 1; the representative
@@ -352,6 +395,11 @@ class TestVerifyCommand:
         reduce_json = json.loads(run_cli(capsys, "reduce", "2", "9", "--json")[1])
         assert payload["witnesses"] == [{**reduce_json, "lhs": "5", "rhs": "1"}]
         assert payload["witnesses"][0]["a"] == "2"
+        assert out == (
+            '{"checked": 2, "failures": 1, "witnesses": [{"a": "2", "m": "9", "steps": '
+            '[{"i": 0, "d": "1", "m_rem": "9"}], "s": 0, "m_s": "9", "phi_m_s": "6", '
+            '"lhs": "5", "rhs": "1"}]}\n'
+        )
 
 
 class TestSelftestCommand:
