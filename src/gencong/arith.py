@@ -35,12 +35,15 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-#: Trial division peels these off before the rho splitter sees a cofactor.
+#: Trial division peels these off before the rho splitter sees a cofactor;
+#: one gcd with their product finds the ones that divide n.
 _TRIAL_PRIMES = _sieve(1000)
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
+_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 #: (psi_k, k): psi_k (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017) is the
 #: least strong pseudoprime to all of the first k primes, which therefore decide
-#: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: psi_1 < 101**2
+#: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: psi_1 < 1009**2
 #: is left to the trial screen, psi_8 == psi_7 and psi_11 == psi_10 == psi_9.
 _PSI_BOUNDS = (
     (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
@@ -82,15 +85,16 @@ def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n below ~3.3e24.
 
-    Below ``psi_k`` the bases are the first k primes; past ``psi_13`` they gain
-    MILLER_RABIN_ROUNDS pseudo-random ones seeded from n, so calls agree.
+    One gcd with the product of the primes below 1000 decides every
+    ``n < 1009**2``.  Above that, below ``psi_k`` the bases are the first k
+    primes; past ``psi_13`` they gain MILLER_RABIN_ROUNDS pseudo-random ones
+    seeded from n, so calls agree.
     """
     if n < 2:
         return False
-    for p in _TRIAL_PRIMES[:25]:  # primes below 100
-        if n % p == 0:
-            return n == p
-    if n < 10201:  # 101**2: nothing below 100 divides n
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n in _TRIAL_PRIME_SET
+    if n < 1018081:  # 1009**2: no prime below 1000 divides n
         return True
     d, r = n - 1, 0
     while d % 2 == 0:
@@ -124,7 +128,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -132,7 +136,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise AssertionError("unreachable")
@@ -142,8 +146,8 @@ def _split(n: int) -> list[int]:
     """Prime factors of n, the cofactor left when trial division stops.
 
     Trial division stops at the first prime ``p`` with ``p * p > n``, leaving
-    ``n`` prime (``factorize(4 * 293)`` passes 293), or after the last trial
-    prime, leaving ``n`` with no factor below the trial bound.
+    ``n`` prime (``factorize(4 * 293)`` passes 293), or once no trial prime
+    divides ``n``, leaving it with no factor below the trial bound.
     """
     if is_prime(n):
         return [n]
@@ -157,12 +161,15 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     original = n
     exponents: dict[int, int] = {}
+    small = math.gcd(n, _PRIMORIAL)  # the trial primes that divide n
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if small == 1 or p * p > n:
             break
-        while n % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            n //= p
+        if small % p == 0:
+            small //= p
+            while n % p == 0:
+                exponents[p] = exponents.get(p, 0) + 1
+                n //= p
     if n > 1:
         for q in _split(n):
             exponents[q] = exponents.get(q, 0) + 1

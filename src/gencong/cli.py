@@ -100,22 +100,17 @@ def _chain_lines(chain: ReductionChain) -> list[str]:
     return lines + _summary_lines(chain)
 
 
-def _chain_payload(chain: ReductionChain) -> dict:
-    return {
-        "a": str(chain.a_input),
-        "m": str(chain.m_norm),
-        "steps": [
-            {"i": step.index, "d": str(step.d), "m_rem": str(step.m_rem)}
-            for step in chain.steps
-        ],
-        "s": chain.s,
-        "m_s": str(chain.m_s),
-        "phi_m_s": str(chain.phi_ms),
-    }
+def _chain_json(chain: ReductionChain, **fields: int) -> str:
+    """The ``reduce --json`` object, then each of ``fields`` as a decimal string.
 
-
-def _pow_payload(chain: ReductionChain, reduced: int, residue: int) -> dict:
-    return {**_chain_payload(chain), "reduced_exponent": str(reduced), "residue": str(residue)}
+    Laid out exactly as ``json.dumps`` would; every value is an integer, so
+    nothing needs escaping.
+    """
+    steps = ", ".join(f'{{"i": {step.index}, "d": "{step.d}", "m_rem": "{step.m_rem}"}}'
+                      for step in chain.steps)
+    extra = "".join(f', "{key}": "{value}"' for key, value in fields.items())
+    return (f'{{"a": "{chain.a_input}", "m": "{chain.m_norm}", "steps": [{steps}], '
+            f'"s": {chain.s}, "m_s": "{chain.m_s}", "phi_m_s": "{chain.phi_ms}"{extra}}}')
 
 
 def _factorization_payload(f: Factorization) -> dict:
@@ -133,10 +128,10 @@ def _exit_code(err: CliError | ValueError) -> int:
     return err.code if isinstance(err, CliError) else EXIT_DOMAIN
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+def _emit(args: argparse.Namespace, payload: Callable[[], str],
           lines: Callable[[], list[str]], code: int = EXIT_OK) -> int:
-    """Print ``payload()`` as JSON under ``--json``, else ``lines()`` as text; return ``code``."""
-    print(json.dumps(payload()) if args.json else "\n".join(lines()))
+    """Print ``payload()``, JSON text, under ``--json``, else ``lines()``; return ``code``."""
+    print(payload() if args.json else "\n".join(lines()))
     return code
 
 
@@ -144,7 +139,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if len(args.operands) != 2:
         raise CliError(EXIT_USAGE, "reduce expects operands: a m")
     chain = build_chain(_parse_int(args.operands[0], "a"), _parse_int(args.operands[1], "m"))
-    return _emit(args, lambda: _chain_payload(chain), lambda: _chain_lines(chain))
+    return _emit(args, lambda: _chain_json(chain), lambda: _chain_lines(chain))
 
 
 def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, str, int]:
@@ -171,11 +166,12 @@ def cmd_pow(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
     a, exponent, m = _parse_pow_operands(args.operands)
     chain, reduced, residue = solve(a, exponent, m)
-    return _emit(args, lambda: _pow_payload(chain, reduced, residue), lambda: [
-        *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
-        f"reduced_exponent = {reduced}", f"residue = {residue}",
-        *([_congruence_line(a, exponent, reduced, chain.m_norm)] if args.trace else []),
-    ])
+    return _emit(
+        args, lambda: _chain_json(chain, reduced_exponent=reduced, residue=residue), lambda: [
+            *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
+            f"reduced_exponent = {reduced}", f"residue = {residue}",
+            *([_congruence_line(a, exponent, reduced, chain.m_norm)] if args.trace else []),
+        ])
 
 
 def _pow_batch() -> int:
@@ -193,12 +189,13 @@ def _pow_batch() -> int:
         try:
             if len(fields) != 3:
                 raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            record = _pow_payload(*solve(*_parse_pow_operands(fields)))
+            chain, reduced, residue = solve(*_parse_pow_operands(fields))
+            record = _chain_json(chain, reduced_exponent=reduced, residue=residue)
         except (CliError, ValueError) as err:
             code = _exit_code(err)
             worst = max(worst, code)
-            record = {"line": line_no, "error": str(err), "code": code}
-        print(json.dumps(record))
+            record = json.dumps({"line": line_no, "error": str(err), "code": code})
+        print(record)
     return worst
 
 
@@ -206,7 +203,8 @@ def cmd_totient(args: argparse.Namespace) -> int:
     if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
     n = _parse_int(args.operands[0], "n")
-    return _emit(args, lambda: _factorization_payload(factorize(n)), lambda: [str(totient(n))])
+    return _emit(args, lambda: json.dumps(_factorization_payload(factorize(n))),
+                 lambda: [str(totient(n))])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -226,12 +224,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{total} pairs exceed the safety cap of {args.cap}; raise --cap to allow this",
         )
     checked, failures = verify_sweep(a_range, m_range)
-    return _emit(args, lambda: {
-        "checked": checked,
-        "failures": len(failures),
-        "witnesses": [{**_chain_payload(c.chain), "lhs": str(c.lhs), "rhs": str(c.rhs)}
-                      for c in failures],
-    }, lambda: [
+    return _emit(args, lambda: (
+        f'{{"checked": {checked}, "failures": {len(failures)}, "witnesses": ['
+        + ", ".join(_chain_json(c.chain, lhs=c.lhs, rhs=c.rhs) for c in failures) + "]}"
+    ), lambda: [
         *(line for c in failures for line in (
             f"FAIL a={c.chain.a_input} m={c.chain.m_input}: lhs={c.lhs} rhs={c.rhs}",
             *_chain_lines(c.chain))),
@@ -271,11 +267,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
     passed = len(results) - len(failed)
-    return _emit(args, lambda: {
+    return _emit(args, lambda: json.dumps({
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "passed": passed,
         "failed": len(failed),
-    }, lambda: [
+    }), lambda: [
         *(f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results),
         f"{passed}/{len(results)} checks passed",
     ], EXIT_VERIFY_FAILED if failed else EXIT_OK)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencong import arith
 from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
 
 
@@ -38,9 +39,27 @@ def is_strong_probable_prime(n, base):
     return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
 
 
+def chernick_carmichaels(count):
+    """The first ``count`` Carmichael numbers (6k+1)(12k+1)(18k+1) with all three factors prime."""
+    found = []
+    for k in range(1, 10**6):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            found.append(math.prod(factors))
+            if len(found) == count:
+                return found
+    raise AssertionError("too few Chernick numbers")
+
+
+#: Primes on both sides of the trial bound: 997 is the largest trial prime
+#: and 1009 the smallest prime above it.
+NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
+
+
 class TestIsPrime:
     def test_small_against_sieve(self):
-        limit = 1_000_000
+        # past 1009**2 == 1018081, where the trial screen stops deciding alone
+        limit = 1_100_000
         sieve = bytearray([1]) * (limit + 1)
         sieve[0] = sieve[1] = 0
         for p in range(2, int(limit**0.5) + 1):
@@ -81,6 +100,27 @@ class TestIsPrime:
     def test_prime_below_psi_k(self):
         for psi in PSI:
             assert is_prime(sympy.prevprime(psi)), psi
+
+    def test_psi_k_neighbourhood_matches_sympy(self):
+        for psi in PSI:
+            for n in range(psi - 2, psi + 3):
+                assert is_prime(n) == sympy.isprime(n), n
+
+    def test_carmichael_numbers(self):
+        # Korselt: squarefree, and p - 1 | n - 1 for each prime p | n
+        small = [n for n in range(3, 120_000, 2)
+                 if len(f := sympy.factorint(n)) > 1 and set(f.values()) == {1}
+                 and all((n - 1) % (p - 1) == 0 for p in f)]
+        assert small[:4] == [561, 1105, 1729, 2465]
+        for n in small + chernick_carmichaels(12):
+            assert not is_prime(n), n
+            assert not sympy.isprime(n), n
+
+    def test_squares_and_products_near_trial_bound(self):
+        for i, p in enumerate(NEAR_TRIAL_BOUND):
+            for q in NEAR_TRIAL_BOUND[i:]:
+                for n in (p * q - 2, p * q - 1, p * q, p * q + 1, p * q + 2):
+                    assert is_prime(n) == sympy.isprime(n), n
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=10**13, max_value=34 * 10**23))
@@ -134,6 +174,37 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**12))
     def test_matches_sympy(self, n):
         assert dict(factorize(n).factors) == sympy.factorint(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(arith._TRIAL_PRIMES), st.integers(1, 12)),
+                 max_size=6),
+        st.lists(st.integers(min_value=1000, max_value=10**9), max_size=2),
+    )
+    def test_trial_powers_times_large_primes_match_sympy(self, powers, large):
+        # (prime powers below 1000) x (1, a prime above 1000, or two of them)
+        n = math.prod(p**e for p, e in powers) * math.prod(sympy.nextprime(x) for x in large)
+        assert dict(factorize(n).factors) == sympy.factorint(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**15))
+    def test_split_gets_the_cofactor_of_plain_trial_division(self, n):
+        # trial division by every prime below 1000 until p * p > n leaves
+        # this cofactor; factorize must hand _split the same one
+        rest = n
+        for p in sympy.primerange(2, 1000):
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                rest //= p
+        seen = []
+        real_split = arith._split
+        arith._split = lambda m: seen.append(m) or real_split(m)
+        try:
+            factorize(n)
+        finally:
+            arith._split = real_split
+        assert seen[:1] == ([rest] if rest > 1 else [])  # later entries are its recursion
 
 
 class TestTotient:

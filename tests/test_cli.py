@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gencong import arith, cli, reduction
 from gencong.cli import (
@@ -16,7 +18,7 @@ from gencong.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from gencong.reduction import TheoremCheck, build_chain
+from gencong.reduction import TheoremCheck, build_chain, solve
 
 
 def run_cli(capsys, *argv):
@@ -476,6 +478,63 @@ class TestParsing:
             assert parse_summary(out)["m_s"] == m_long
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+def dumped_chain(chain, **fields):
+    """The chain object built field by field and laid out by stdlib ``json``."""
+    payload = {
+        "a": str(chain.a_input),
+        "m": str(chain.m_norm),
+        "steps": [{"i": step.index, "d": str(step.d), "m_rem": str(step.m_rem)}
+                  for step in chain.steps],
+        "s": chain.s,
+        "m_s": str(chain.m_s),
+        "phi_m_s": str(chain.phi_ms),
+    }
+    payload.update((key, str(value)) for key, value in fields.items())
+    return json.dumps(payload)
+
+
+def shared_power_operands(primes, exponents_a, exponents_m):
+    """``(a, m)`` sharing a power of a small prime, so chains run deep; ``m_s <= 10**6``."""
+    signs = st.sampled_from((1, -1))
+    return st.builds(
+        lambda p, e_a, e_m, u, c, sign_a, sign_m: (sign_a * p**e_a * u, sign_m * p**e_m * c),
+        st.sampled_from(primes), exponents_a, exponents_m,
+        st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**6),
+        signs, signs,
+    )
+
+
+class TestChainJsonLayout:
+    """``_chain_json`` writes what ``json.dumps`` would, byte for byte."""
+
+    def assert_layouts(self, a, exponent, m, lhs, rhs):
+        chain, reduced, residue = solve(a, exponent, m)
+        assert cli._chain_json(chain) == dumped_chain(chain)
+        assert (cli._chain_json(chain, reduced_exponent=reduced, residue=residue)
+                == dumped_chain(chain, reduced_exponent=reduced, residue=residue))
+        assert cli._chain_json(chain, lhs=lhs, rhs=rhs) == dumped_chain(chain, lhs=lhs, rhs=rhs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_power_operands((2, 3, 5, 7, 997), st.integers(0, 6), st.integers(0, 60)),
+           st.integers(min_value=0, max_value=10**40), st.integers(), st.integers())
+    @example((-5, 1), 7, 0, 0)
+    @example((-12, -1), 0, 1, 2)
+    @example((2, 2**60), 3, 10**30, -1)
+    def test_matches_json_dumps(self, operands, exponent, lhs, rhs):
+        a, m = operands
+        self.assert_layouts(a, exponent, m, lhs, rhs)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str conversion limit on this Python")
+    @settings(max_examples=8, deadline=None)
+    @given(shared_power_operands((2,), st.integers(5000, 15000), st.integers(14300, 15000)),
+           st.integers(min_value=10**4400, max_value=10**4500))
+    def test_operands_past_the_int_str_limit(self, operands, huge):
+        sys.set_int_max_str_digits(0)  # as main does; the conftest fixture restores it
+        a, m = operands
+        self.assert_layouts(a, str(huge), m, huge, -huge)
 
 
 class TestModuleEntryPoint:
