@@ -55,6 +55,14 @@ def chernick_carmichaels(count):
 #: and 1009 the smallest prime above it.
 NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
 
+#: (powers of primes below 1000) x (1, a prime above 1000, or two of them)
+trial_powers_times_large_primes = st.builds(
+    lambda powers, large: math.prod(p**e for p, e in powers) * math.prod(large),
+    st.lists(st.tuples(st.sampled_from(tuple(sympy.primerange(2, 1000))), st.integers(1, 12)),
+             max_size=6),
+    st.lists(st.integers(min_value=1000, max_value=10**9).map(sympy.nextprime), max_size=2),
+)
+
 
 class TestIsPrime:
     def test_small_against_sieve(self):
@@ -176,18 +184,12 @@ class TestFactorize:
         assert dict(factorize(n).factors) == sympy.factorint(n)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.tuples(st.sampled_from(arith._TRIAL_PRIMES), st.integers(1, 12)),
-                 max_size=6),
-        st.lists(st.integers(min_value=1000, max_value=10**9), max_size=2),
-    )
-    def test_trial_powers_times_large_primes_match_sympy(self, powers, large):
-        # (prime powers below 1000) x (1, a prime above 1000, or two of them)
-        n = math.prod(p**e for p, e in powers) * math.prod(sympy.nextprime(x) for x in large)
+    @given(trial_powers_times_large_primes)
+    def test_trial_powers_times_large_primes_match_sympy(self, n):
         assert dict(factorize(n).factors) == sympy.factorint(n)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=1, max_value=10**15))
+    @given(st.one_of(st.integers(min_value=1, max_value=10**15), trial_powers_times_large_primes))
     def test_split_gets_the_cofactor_of_plain_trial_division(self, n):
         # trial division by every prime below 1000 until p * p > n leaves
         # this cofactor; factorize must hand _split the same one
