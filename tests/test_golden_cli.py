@@ -120,6 +120,18 @@ INPUTS = [
     (["pow", "7", "25604", "-" + M_LONG, "--json"], ""),
     (["totient", M_LONG], ""),
     (["verify", "--a", "0..1", "--m", f"{M_LONG}..{M_LONG}"], ""),
+    # malformed N and LO..HI operands: a letter, an underscore, a plus sign,
+    # a space and a non-ASCII digit, alone and in a batch stream
+    (["pow", "2", "x", "5"], ""),
+    (["pow", "2", "1_0", "5"], ""),
+    (["pow", "2", "+5", "5"], ""),
+    (["pow", "2", " 5", "5"], ""),
+    (["pow", "2", "٣", "5"], ""),
+    (["pow"], "2 x 5\n2 +5 5\n2 5 x\n"),
+    (["verify", "--a", "1..2..3", "--m", "1..5"], ""),
+    (["verify", "--a", "1...5", "--m", "1..5"], ""),
+    (["verify", "--a", "..5", "--m", "1..5"], ""),
+    (["verify", "--a", "1..", "--m", "1..5"], ""),
 ]
 
 
