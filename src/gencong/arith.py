@@ -35,16 +35,17 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-#: Trial division peels these off before the rho splitter sees a cofactor;
-#: one gcd with their product finds the ones that divide n.
-_TRIAL_PRIMES = _sieve(1000)
+#: Trial division peels off the primes below this bound before rho sees a
+#: cofactor, and one gcd with their product finds the ones that divide n.
+_TRIAL_BOUND = 1009
+_TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 #: (psi_k, k): psi_k (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017) is the
 #: least strong pseudoprime to all of the first k primes, which therefore decide
-#: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: psi_1 < 1009**2
-#: is left to the trial screen, psi_8 == psi_7 and psi_11 == psi_10 == psi_9.
+#: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: the trial
+#: screen decides psi_1 < _TRIAL_BOUND**2, psi_8 == psi_7, psi_11 == psi_9.
 _PSI_BOUNDS = (
     (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
     (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
@@ -85,16 +86,16 @@ def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n below ~3.3e24.
 
-    One gcd with the product of the primes below 1000 decides every
-    ``n < 1009**2``.  Above that, below ``psi_k`` the bases are the first k
-    primes; past ``psi_13`` they gain MILLER_RABIN_ROUNDS pseudo-random ones
-    seeded from n, so calls agree.
+    One gcd with the product of the trial primes decides every
+    ``n < _TRIAL_BOUND**2``.  Above that, below ``psi_k`` the bases are the
+    first k primes; past ``psi_13`` they gain MILLER_RABIN_ROUNDS pseudo-random
+    ones seeded from n, so calls agree.
     """
     if n < 2:
         return False
     if math.gcd(n, _PRIMORIAL) != 1:
         return n in _TRIAL_PRIME_SET
-    if n < 1018081:  # 1009**2: no prime below 1000 divides n
+    if n < _TRIAL_BOUND**2:
         return True
     d, r = n - 1, 0
     while d % 2 == 0:
@@ -142,21 +143,13 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def _split(n: int) -> list[int]:
-    """Prime factors of n, the cofactor left when trial division stops.
-
-    Trial division stops at the first prime ``p`` with ``p * p > n``, leaving
-    ``n`` prime (``factorize(4 * 293)`` passes 293), or once no trial prime
-    divides ``n``, leaving it with no factor below the trial bound.
-    """
-    if is_prime(n):
-        return [n]
-    d = _pollard_brent(n)
-    return _split(d) + _split(n // d)
-
-
 def factorize(n: int) -> Factorization:
-    """Factor ``n >= 1``: trial division below 1000, then rho splitting."""
+    """Factor ``n >= 1``: trial division, then one loop over the cofactors.
+
+    Trial division by the primes below ``_TRIAL_BOUND`` stops once none
+    divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
+    The loop keeps each cofactor ``is_prime`` proves and splits the rest by rho.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     original = n
@@ -170,9 +163,14 @@ def factorize(n: int) -> Factorization:
             while n % p == 0:
                 exponents[p] = exponents.get(p, 0) + 1
                 n //= p
-    if n > 1:
-        for q in _split(n):
+    pending = [n] if n > 1 else []
+    while pending:
+        q = pending.pop()
+        if is_prime(q):
             exponents[q] = exponents.get(q, 0) + 1
+        else:
+            d = _pollard_brent(q)
+            pending += d, q // d
     return Factorization(original, tuple(sorted(exponents.items())))
 
 

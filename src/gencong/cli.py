@@ -47,7 +47,6 @@ EXIT_BROKEN_PIPE = 141
 DEFAULT_VERIFY_CAP = 10**6
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
-_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
 class CliError(Exception):
@@ -70,10 +69,10 @@ def _parse_int(text: str, name: str) -> int:
 
 
 def _parse_range(text: str, flag: str) -> range:
-    match = _RANGE_RE.fullmatch(text)
-    if not match:
+    lo_text, _, hi_text = text.partition("..")
+    if not (_INTEGER_RE.fullmatch(lo_text) and _INTEGER_RE.fullmatch(hi_text)):
         raise CliError(EXIT_USAGE, f"{flag} expects LO..HI, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, hi = int(lo_text), int(hi_text)
     if lo > hi:
         raise CliError(EXIT_USAGE, f"{flag} range {text} is empty")
     return range(lo, hi + 1)

@@ -63,6 +63,26 @@ trial_powers_times_large_primes = st.builds(
     st.lists(st.integers(min_value=1000, max_value=10**9).map(sympy.nextprime), max_size=2),
 )
 
+#: (powers of primes below 1000) x (0 to 3 primes from 1009 up, repeats allowed)
+trial_powers_times_repeated_large_primes = st.builds(
+    lambda powers, large: math.prod(p**e for p, e in powers) * math.prod(large),
+    st.lists(st.tuples(st.sampled_from(tuple(sympy.primerange(2, 1000))), st.integers(1, 12)),
+             max_size=6),
+    st.lists(st.sampled_from(tuple(sympy.primerange(1009, 1100))
+                             + tuple(sympy.prevprime(2**k) for k in (17, 20, 24))),
+             max_size=3),
+)
+
+
+def plain_trial_cofactor(n):
+    """What trial division by every prime below 1000, until ``p * p > n``, leaves."""
+    for p in sympy.primerange(2, 1000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+    return n
+
 
 class TestIsPrime:
     def test_small_against_sieve(self):
@@ -190,23 +210,44 @@ class TestFactorize:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(min_value=1, max_value=10**15), trial_powers_times_large_primes))
-    def test_split_gets_the_cofactor_of_plain_trial_division(self, n):
+    def test_first_cofactor_tested_is_that_of_plain_trial_division(self, n):
         # trial division by every prime below 1000 until p * p > n leaves
-        # this cofactor; factorize must hand _split the same one
-        rest = n
-        for p in sympy.primerange(2, 1000):
-            if p * p > rest:
-                break
-            while rest % p == 0:
-                rest //= p
+        # this cofactor; it must be the first number factorize hands is_prime
         seen = []
-        real_split = arith._split
-        arith._split = lambda m: seen.append(m) or real_split(m)
+        real_is_prime = arith.is_prime
+        arith.is_prime = lambda m: seen.append(m) or real_is_prime(m)
         try:
             factorize(n)
         finally:
-            arith._split = real_split
-        assert seen[:1] == ([rest] if rest > 1 else [])  # later entries are its recursion
+            arith.is_prime = real_is_prime
+        rest = plain_trial_cofactor(n)
+        assert seen[:1] == ([rest] if rest > 1 else [])  # later entries are its splits
+
+    @settings(max_examples=200, deadline=None)
+    @given(trial_powers_times_repeated_large_primes)
+    def test_cofactor_loop_tests_each_node_once_and_runs_rho_once_per_composite(self, n):
+        # the split tree of a cofactor with omega prime factors (with
+        # multiplicity) has omega leaves and omega - 1 splits: each of its
+        # 2 * omega - 1 nodes is tested once and each inner node split once
+        calls = {"is_prime": 0, "_pollard_brent": 0}
+        real = {name: getattr(arith, name) for name in calls}
+
+        def counted(name):
+            def wrapper(m):
+                calls[name] += 1
+                return real[name](m)
+            return wrapper
+
+        for name in calls:
+            setattr(arith, name, counted(name))
+        try:
+            factors = dict(factorize(n).factors)
+        finally:
+            for name, function in real.items():
+                setattr(arith, name, function)
+        omega = sum(sympy.factorint(plain_trial_cofactor(n)).values())
+        assert calls == {"is_prime": max(2 * omega - 1, 0), "_pollard_brent": max(omega - 1, 0)}
+        assert factors == sympy.factorint(n)
 
 
 class TestTotient:
