@@ -55,22 +55,13 @@ def chernick_carmichaels(count):
 #: and 1009 the smallest prime above it.
 NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
 
-#: (powers of primes below 1000) x (1, a prime above 1000, or two of them)
+#: (powers of primes below 1000) x (0 to 3 primes above 1000, repeats allowed)
 trial_powers_times_large_primes = st.builds(
     lambda powers, large: math.prod(p**e for p, e in powers) * math.prod(large),
     st.lists(st.tuples(st.sampled_from(tuple(sympy.primerange(2, 1000))), st.integers(1, 12)),
              max_size=6),
-    st.lists(st.integers(min_value=1000, max_value=10**9).map(sympy.nextprime), max_size=2),
-)
-
-#: (powers of primes below 1000) x (0 to 3 primes from 1009 up, repeats allowed)
-trial_powers_times_repeated_large_primes = st.builds(
-    lambda powers, large: math.prod(p**e for p, e in powers) * math.prod(large),
-    st.lists(st.tuples(st.sampled_from(tuple(sympy.primerange(2, 1000))), st.integers(1, 12)),
-             max_size=6),
-    st.lists(st.sampled_from(tuple(sympy.primerange(1009, 1100))
-                             + tuple(sympy.prevprime(2**k) for k in (17, 20, 24))),
-             max_size=3),
+    st.lists(st.integers(min_value=1000, max_value=10**9).map(sympy.nextprime), min_size=1,
+             max_size=3).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=3)),
 )
 
 
@@ -224,7 +215,7 @@ class TestFactorize:
         assert seen[:1] == ([rest] if rest > 1 else [])  # later entries are its splits
 
     @settings(max_examples=200, deadline=None)
-    @given(trial_powers_times_repeated_large_primes)
+    @given(trial_powers_times_large_primes)
     def test_cofactor_loop_tests_each_node_once_and_runs_rho_once_per_composite(self, n):
         # the split tree of a cofactor with omega prime factors (with
         # multiplicity) has omega leaves and omega - 1 splits: each of its
