@@ -7,24 +7,17 @@ and never touches floating point.
 from __future__ import annotations
 
 import math
-import random
 from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
 __all__ = [
     "Factorization",
-    "MILLER_RABIN_ROUNDS",
     "factorize",
     "is_prime",
     "mod_pow",
     "totient",
 ]
-
-#: Extra Miller-Rabin rounds for inputs beyond the last psi_k bound; error
-#: probability at most 4**-MILLER_RABIN_ROUNDS per call.
-MILLER_RABIN_ROUNDS = 24
-
 
 def _sieve(limit: int) -> tuple[int, ...]:
     flags = bytearray([1]) * limit
@@ -42,6 +35,10 @@ _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
+#: is_prime is a proof below this bound and BPSW from it on, where no
+#: counterexample is known but none is proven impossible.
+_PSI_13 = 3317044064679887385961981
+
 #: (psi_k, k): psi_k (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017) is the
 #: least strong pseudoprime to all of the first k primes, which therefore decide
 #: every odd n < psi_k.  Rows k = 1, 8, 10, 11 would add nothing: the trial
@@ -49,7 +46,7 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 _PSI_BOUNDS = (
     (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
     (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
-    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+    (318665857834031151167461, 12), (_PSI_13, 13),
 )
 
 
@@ -83,13 +80,73 @@ def _is_composite_witness(a: int, d: int, r: int, n: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol ``(a/n)`` for odd ``n > 0``: 0 exactly when ``gcd(a, n) > 1``."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd ``n > 2``, Selfridge's method A.
+
+    ``D`` is the first of 5, -7, 9, -11, ... with Jacobi symbol ``(D/n) == -1``,
+    ``P = 1`` and ``Q = (1 - D) / 4`` (Baillie-Wagstaff 1980).  With
+    ``n + 1 == d * 2**r``, ``n`` passes when ``U_d == 0`` or some
+    ``V_(d * 2**j) == 0 (mod n)``, ``j < r``.  A perfect square has no such
+    ``D``, so it is rejected first.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        if math.gcd(D, n) not in (1, n):
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4 % n
+    d, r = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    # binary chain over d's bits from the top: (U_k, V_k, Q^k) for k = 1, then
+    # doubling to 2k, and 2k + 1 where the bit is set (halving mod odd n)
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(r - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for all n below ~3.3e24.
+    """Primality test: a proof below ``psi_13 ~ 3.3e24``, Baillie-PSW past it.
 
     One gcd with the product of the trial primes decides every
-    ``n < _TRIAL_BOUND**2``.  Above that, below ``psi_k`` the bases are the
-    first k primes; past ``psi_13`` they gain MILLER_RABIN_ROUNDS pseudo-random
-    ones seeded from n, so calls agree.
+    ``n < _TRIAL_BOUND**2``.  Above that, below ``psi_k`` Miller-Rabin with
+    the first k primes as bases decides n.  From ``psi_13`` on, n must pass a
+    strong base-2 test and a strong Lucas test (Baillie-Wagstaff 1980,
+    Pomerance-Selfridge-Wagstaff 1980): no composite is known to pass both,
+    but none is proven not to, which is why ``reduction.solve`` certifies
+    its fold past this bound.
     """
     if n < 2:
         return False
@@ -103,14 +160,8 @@ def is_prime(n: int) -> bool:
         r += 1
     for bound, k in _PSI_BOUNDS:
         if n < bound:
-            bases = _TRIAL_PRIMES[:k]
-            break
-    else:
-        rng = random.Random(n)
-        bases = _TRIAL_PRIMES[:13] + tuple(
-            rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS)
-        )
-    return not any(_is_composite_witness(a, d, r, n) for a in bases)
+            return not any(_is_composite_witness(a, d, r, n) for a in _TRIAL_PRIMES[:k])
+    return not _is_composite_witness(2, d, r, n) and _is_strong_lucas_prp(n)
 
 
 def _pollard_brent(n: int) -> int:

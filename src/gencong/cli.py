@@ -2,8 +2,8 @@
 
 Operands are decimal integer strings of arbitrary length (optional leading
 minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
-``ValueError`` from the library, e.g. zero modulus), 3 verification failure,
-141 stdout closed early (as a shell reports a writer killed by SIGPIPE).
+``ValueError`` from the library, e.g. zero modulus), 3 verification failure
+(including a ``CertificateError`` from ``solve``), 141 stdout closed early (as a shell reports a writer killed by SIGPIPE).
 
 Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
 the parser is the one list of subcommands.  A handler takes the parsed
@@ -11,7 +11,8 @@ the parser is the one list of subcommands.  A handler takes the parsed
 picks text or JSON (batch mode streams JSON lines itself, with an error
 record for each line it cannot answer).  Powers go through
 ``reduction.solve``, as in the library, with ``N`` passed as its digit
-string so it is folded in linear time and never converted to an int.
+string so it is folded in linear time and never converted to an int; the
+library's check of that string is the one scan of its digits.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
 per ``(m, gcd(a, m))`` class and evaluates both sides for every pair; a
 failing pair's witness is its own chain, and under ``--json`` it is the
@@ -29,6 +30,7 @@ from typing import Callable, Iterable
 
 from .arith import Factorization, factorize, totient
 from .reduction import (
+    CertificateError,
     ReductionChain,
     build_chain,
     mod_pow,  # noqa: F401  re-exported; bench/test_bench.py traces cli.mod_pow
@@ -65,6 +67,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_int(text: str, name: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
         raise CliError(EXIT_USAGE, f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _cap(text: str) -> int:
+    """``--cap``'s type: the operands' syntax, refused in argparse's own words."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -122,8 +131,11 @@ def _congruence_line(a: int, exponent: str, reduced: int, m: int) -> str:
     return f"{base}^{exponent} ≡ {base}^{reduced} (mod {m})"
 
 
-def _exit_code(err: CliError | ValueError) -> int:
-    """A ``CliError`` carries its code; a ``ValueError`` is a library domain check."""
+def _exit_code(err: CliError | ValueError | CertificateError) -> int:
+    """A ``CliError`` carries its code; a ``ValueError`` is a library domain
+    check, and a ``CertificateError`` a failed check of the library's result."""
+    if isinstance(err, CertificateError):
+        return EXIT_VERIFY_FAILED
     return err.code if isinstance(err, CliError) else EXIT_DOMAIN
 
 
@@ -141,19 +153,27 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return _emit(args, lambda: _chain_json(chain), lambda: _chain_lines(chain))
 
 
-def _parse_pow_operands(fields: Iterable[str]) -> tuple[int, str, int]:
-    """``(a, N, m)`` with ``N`` as its digits, leading zeros stripped (``-0`` is ``0``).
+def _solve_pow(fields: Iterable[str]) -> tuple[int, str, tuple[ReductionChain, int, int]]:
+    """``(a, N, solve(a, N, m))`` for the operands ``a N m``; ``-0`` is ``0``.
 
-    ``N`` stays a string: ``solve`` folds it without the quadratic ``int()``.
+    ``N`` stays a string, which ``solve`` checks and folds without the
+    quadratic ``int()``.  That check is the one scan of its digits: ``N`` is
+    scanned here only once something has failed, so that a bad ``N`` is
+    still reported before a bad ``m`` or a domain error, in operand order.
     """
     a_text, n_text, m_text = fields
     a = _parse_int(a_text, "a")
-    if not _INTEGER_RE.fullmatch(n_text):
-        raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}")
-    digits = n_text.lstrip("-").lstrip("0") or "0"
-    if n_text.startswith("-") and digits != "0":
-        raise CliError(EXIT_USAGE, "N must be non-negative")
-    return a, digits, _parse_int(m_text, "m")
+    exponent = n_text
+    if n_text.startswith("-") and _INTEGER_RE.fullmatch(n_text):
+        if n_text.strip("-0"):
+            raise CliError(EXIT_USAGE, "N must be non-negative")
+        exponent = "0"
+    try:
+        return a, exponent, solve(a, exponent, _parse_int(m_text, "m"))
+    except (CliError, ValueError):
+        if not _INTEGER_RE.fullmatch(n_text):
+            raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}") from None
+        raise
 
 
 def cmd_pow(args: argparse.Namespace) -> int:
@@ -163,13 +183,13 @@ def cmd_pow(args: argparse.Namespace) -> int:
         return _pow_batch()
     if len(args.operands) != 3:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
-    a, exponent, m = _parse_pow_operands(args.operands)
-    chain, reduced, residue = solve(a, exponent, m)
+    a, exponent, (chain, reduced, residue) = _solve_pow(args.operands)
     return _emit(
         args, lambda: _chain_json(chain, reduced_exponent=reduced, residue=residue), lambda: [
             *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
             f"reduced_exponent = {reduced}", f"residue = {residue}",
-            *([_congruence_line(a, exponent, reduced, chain.m_norm)] if args.trace else []),
+            *([_congruence_line(a, exponent.lstrip("0") or "0", reduced, chain.m_norm)]
+              if args.trace else []),
         ])
 
 
@@ -188,9 +208,9 @@ def _pow_batch() -> int:
         try:
             if len(fields) != 3:
                 raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            chain, reduced, residue = solve(*_parse_pow_operands(fields))
+            chain, reduced, residue = _solve_pow(fields)[2]
             record = _chain_json(chain, reduced_exponent=reduced, residue=residue)
-        except (CliError, ValueError) as err:
+        except (CliError, ValueError, CertificateError) as err:
             code = _exit_code(err)
             worst = max(worst, code)
             record = json.dumps({"line": line_no, "error": str(err), "code": code})
@@ -307,7 +327,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check the congruence over ranges of a and m")
     p_verify.add_argument("--a", metavar="LO..HI", help="inclusive range of bases")
     p_verify.add_argument("--m", metavar="LO..HI", help="inclusive range of moduli (m = 0 skipped)")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP, metavar="K",
+    p_verify.add_argument("--cap", type=_cap, default=DEFAULT_VERIFY_CAP, metavar="K",
                           help=f"maximum number of pairs, at least 1 (default {DEFAULT_VERIFY_CAP})")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON summary")
     p_verify.set_defaults(handler=cmd_verify)
@@ -346,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
-    except (CliError, ValueError) as err:
+    except (CliError, ValueError, CertificateError) as err:
         print(f"gencong: error: {err}", file=sys.stderr)
         return _exit_code(err)
     except BrokenPipeError:  # e.g. `| head -1`; fd 1 -> devnull so the exit flush can't fail

@@ -10,6 +10,16 @@ recovering a**phi(m) == 1 (mod m).  Folding a huge exponent N down to
 s + ((N - s) mod phi(m_s)) therefore leaves the residue unchanged, which is
 what makes powers with thousand-digit exponents cheap.
 
+One modular power certifies a fold for a given ``a``, whatever produced the
+period ``P`` used in place of phi(m_s).  ``|m| / m_s = prod(c_i**(i+1))``
+over the chain's cofactors, and each ``c_i`` divides ``d_0``, which divides
+``a``; so ``|m| / m_s`` divides ``a**s``, while ``gcd(a, m_s) == 1``.  By the
+Chinese remainder theorem, ``a**(s + k*P) == a**s (mod |m|)`` for every
+``k >= 0`` exactly when ``a**P == 1 (mod m_s)``.  :func:`solve` checks this
+whenever ``m_s >= psi_13``, the bound past which ``is_prime`` (and so
+phi(m_s)) rests on the Baillie-PSW test rather than a proof, and raises
+:class:`CertificateError` instead of returning a residue it cannot vouch for.
+
 Sign conventions: phi(m) == phi(-m) and congruence mod m equals congruence
 mod -m, so the chain is always built on |m|; gcds are taken positive.
 
@@ -20,14 +30,14 @@ decimal string to int in time quadratic in its length.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from math import gcd
 from typing import NamedTuple
 
-from .arith import mod_pow, totient
+from .arith import _PSI_13, mod_pow, totient
 
 __all__ = [
+    "CertificateError",
     "ReductionChain",
     "ReductionStep",
     "TheoremCheck",
@@ -44,7 +54,13 @@ __all__ = [
 #: chunks pay the quadratic conversion, shorter ones more Python-level steps.
 CHUNK_DIGITS = 300
 
-_DIGITS_RE = re.compile(r"[0-9]+")
+
+class CertificateError(ArithmeticError):
+    """``a**phi_ms != 1 (mod m_s)``: the totient of ``m_s`` is wrong for this ``a``.
+
+    Only a prime test that accepted a composite factor of ``m_s`` can cause
+    it; :func:`solve` then returns no residue.
+    """
 
 
 class ReductionStep(NamedTuple):
@@ -202,7 +218,8 @@ def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:
     folded in linear time, by Horner's rule over chunks of that many digits.
     """
     if isinstance(exponent, str):
-        if not _DIGITS_RE.fullmatch(exponent):
+        # isascii() is O(1); bytes.isdigit() is the one scan, 3-4x a regex's speed
+        if not (exponent.isascii() and exponent.encode().isdigit()):
             raise ValueError(f"exponent must be ASCII decimal digits, got {exponent[:40]!r}")
         digits = exponent.lstrip("0")
         if len(digits) > CHUNK_DIGITS:
@@ -233,9 +250,15 @@ def solve(a: int, exponent: int | str, m: int) -> tuple[ReductionChain, int, int
     mod ``|m|``.  It agrees with naive modular exponentiation on all inputs,
     but the work is bounded by ``|m|`` and the exponent's digit count, so
     an exponent given as a decimal string of millions of digits is fine.
+
+    When ``m_s >= psi_13`` the fold is certified first (module docstring):
+    if ``a**phi_ms != 1 (mod m_s)``, :class:`CertificateError` is raised.
     """
     chain = build_chain(a, m)
     reduced = reduce_exponent(chain, exponent)
+    if chain.m_s >= _PSI_13 and pow(a, chain.phi_ms, chain.m_s) != 1:
+        raise CertificateError(f"fold certificate failed: a^phi(m_s) mod m_s != 1 for "
+                               f"m_s = {chain.m_s}, so phi(m_s) = {chain.phi_ms} is wrong")
     return chain, reduced, mod_pow(a, reduced, chain.m_norm)
 
 

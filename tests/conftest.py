@@ -18,3 +18,23 @@ def _restore_int_str_digit_limit():
     saved = sys.get_int_max_str_digits()
     yield
     sys.set_int_max_str_digits(saved)
+
+
+#: A composite past psi_13 (p and q are primes of 40 and 44 bits), the
+#: smallest size at which ``reduction.solve`` certifies its fold.
+FAKE_PRIME = 1_000_000_000_039 * 10_000_000_000_037
+
+
+@pytest.fixture
+def composite_taken_for_prime(monkeypatch):
+    """Make ``arith.is_prime`` accept :data:`FAKE_PRIME`, so its totient comes out wrong.
+
+    The totient cache is cleared before and after, so no wrong value outlives the test.
+    """
+    from gencong import arith
+
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: n == FAKE_PRIME or real(n))
+    arith.totient.cache_clear()
+    yield FAKE_PRIME
+    arith.totient.cache_clear()

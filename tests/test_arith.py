@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from gencong import arith
 from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
@@ -148,6 +149,70 @@ class TestIsPrime:
         # nextprime puts a prime through the Miller-Rabin rounds every time
         assert is_prime(n) == sympy.isprime(n)
         assert is_prime(sympy.nextprime(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=PSI[-1], max_value=2**256))
+    def test_matches_sympy_past_psi_13(self, n):
+        # the Baillie-PSW branch, for a random n and for the prime after it
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_prime(sympy.nextprime(n))
+
+
+def bpsw(n):
+    """``is_prime``'s branch past psi_13, called on any odd ``n > 3``."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return not arith._is_composite_witness(2, d, r, n) and arith._is_strong_lucas_prp(n)
+
+
+odd_20_to_200_bits = st.integers(min_value=20, max_value=200).flatmap(
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)).map(lambda n: n | 1)
+
+
+class TestBailliePSW:
+    """The test ``is_prime`` runs past psi_13, called directly at any size."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(odd_20_to_200_bits | odd_20_to_200_bits.map(sympy.nextprime)
+           | st.tuples(odd_20_to_200_bits, odd_20_to_200_bits).map(
+               lambda pair: sympy.nextprime(pair[0] // 2**10) * sympy.nextprime(pair[1] // 2**10)))
+    def test_matches_sympy(self, n):
+        assert bpsw(n) == sympy.isprime(n)
+
+    def test_rejects_every_strong_base_2_pseudoprime_below_a_million(self):
+        limit = 10**6
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+        pseudoprimes = [n for n in range(3, limit, 2)
+                        if not sieve[n] and is_strong_probable_prime(n, 2)]
+        # OEIS A001262: 46 of them below 10**6, the first 2047 = 23 * 89
+        assert pseudoprimes[:5] == [2047, 3277, 4033, 4681, 8321]
+        assert len(pseudoprimes) == 46
+        for n in pseudoprimes:
+            assert not bpsw(n), n
+
+    def test_lucas_half_matches_sympy(self):
+        # the first strong Lucas pseudoprimes (OEIS A217255) pass it, as in sympy
+        for n in (5459, 5777, 10877, 16109, 18971):
+            assert arith._is_strong_lucas_prp(n), n
+            assert not sympy.isprime(n)
+        for n in range(3, 40_001, 2):
+            assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_20_to_200_bits | st.integers(min_value=3, max_value=2**100).map(lambda k: (k | 1) ** 2))
+    def test_lucas_half_matches_sympy_on_large_odd_n(self, n):
+        # odd squares too, which have no Selfridge D and must be screened out first
+        assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=-(10**30), max_value=10**30), odd_20_to_200_bits)
+    def test_jacobi_matches_sympy(self, a, n):
+        assert arith._jacobi(a, n) == sympy.jacobi_symbol(a, n)
 
 
 class TestFactorize:

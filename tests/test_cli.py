@@ -201,6 +201,31 @@ class TestPowCommand:
         ]
 
 
+    def test_certificate_failure_prints_no_residue_and_exits_3(self, capsys,
+                                                               composite_taken_for_prime):
+        n = str(composite_taken_for_prime)
+        for extra in ((), ("--json",), ("--trace",)):
+            code, out, err = run_cli(capsys, "pow", "6", "25604", n, *extra)
+            assert code == EXIT_VERIFY_FAILED, extra
+            assert out == ""
+            assert err.startswith("gencong: error: fold certificate failed"), err
+
+    def test_batch_answers_the_lines_after_a_certificate_failure(self, capsys, monkeypatch,
+                                                                 composite_taken_for_prime):
+        n = composite_taken_for_prime
+        stdin = f"6 25604 105765\n2 {'9' * 400} {n}\n5 3 0\n7 0 13\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, "pow")
+        assert code == EXIT_VERIFY_FAILED  # the highest code of any line
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("residue") for r in records] == ["1296", None, None, "1"]
+        assert [(r.get("line"), r.get("code")) for r in records] == [
+            (None, None), (2, EXIT_VERIFY_FAILED), (3, EXIT_DOMAIN), (None, None),
+        ]
+        assert records[1]["error"] == (f"fold certificate failed: a^phi(m_s) mod m_s != 1 for "
+                                       f"m_s = {n}, so phi(m_s) = {n - 1} is wrong")
+
     def test_batch_stream_bytes(self, capsys, monkeypatch):
         # error records, m = +-1, negative a and m, chains with s >= 3 and
         # N < s, each line exactly as json.dumps laid it out
@@ -354,6 +379,13 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.strip() == "1 checked, 0 failures"
 
+    def test_cap_takes_the_operands_syntax(self, capsys):
+        for cap in ("\u0663", "1_000", " 5", "+5", "5 ", "x"):
+            code, out, err = run_cli(capsys, "verify", "--a", "0..1", "--m", "1..2", "--cap", cap)
+            assert code == EXIT_USAGE, cap
+            assert out == ""
+            assert err == f"gencong: error: argument --cap: invalid int value: {cap!r}\n"
+
     def test_failure_prints_witness_and_exits_3(self, capsys, monkeypatch):
         chain = build_chain(3, 9)
         fake = TheoremCheck(ok=False, lhs=1, rhs=2, chain=chain)
@@ -447,6 +479,35 @@ class TestParsing:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err == "gencong: error: stub domain check\n"
+
+    def test_bad_exponent_is_reported_in_operand_order(self, capsys):
+        # the library scans N, after the chain; the CLI still names N before m
+        for m in ("0", "x", "105765", "-0"):
+            for n in ("x", "1_0", "", "0" * 400 + "x"):
+                code, out, err = run_cli(capsys, "pow", "6", n, m)
+                assert (code, out) == (EXIT_USAGE, ""), (n, m)
+                assert err == f"gencong: error: N must be a decimal integer, got {n!r}\n"
+            code, _, err = run_cli(capsys, "pow", "6", "-5", m)
+            assert (code, err) == (EXIT_USAGE, "gencong: error: N must be non-negative\n")
+        assert run_cli(capsys, "pow", "x", "x", "x")[2].startswith("gencong: error: a must")
+        assert run_cli(capsys, "pow", "6", "5", "x")[2].startswith("gencong: error: m must")
+        assert run_cli(capsys, "pow", "6", "-00", "0")[0] == EXIT_DOMAIN
+
+    def test_valid_exponent_is_not_scanned_by_the_cli(self, capsys, monkeypatch):
+        scanned = []
+
+        class Recording:
+            def fullmatch(self, text):
+                scanned.append(text)
+                return real.fullmatch(text)
+
+        real = cli._INTEGER_RE
+        monkeypatch.setattr(cli, "_INTEGER_RE", Recording())
+        exponent = "7" * 1000
+        code, out, _ = run_cli(capsys, "pow", "6", exponent, "105765")
+        assert code == EXIT_OK
+        assert int(parse_summary(out)["residue"]) == pow(6, int(exponent), 105765)
+        assert scanned == ["6", "105765"]  # a and m; N is checked by solve alone
 
     def test_huge_operands_accepted(self, capsys):
         exponent = "9" * 5000

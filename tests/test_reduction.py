@@ -11,6 +11,7 @@ from gencong import reduction
 from gencong.arith import Factorization, factorize, mod_pow, totient
 from gencong.reduction import (
     CHUNK_DIGITS,
+    CertificateError,
     ReductionStep,
     TheoremCheck,
     build_chain,
@@ -343,6 +344,42 @@ class TestDecimalStringExponent:
         reduced = reduce_exponent(chain, "9" * 10**6)
         n_mod_phi = (pow(10, 10**6, chain.phi_ms) - 1) % chain.phi_ms  # N = 10**(10**6) - 1
         assert reduced == chain.s + (n_mod_phi - chain.s) % chain.phi_ms
+
+
+class TestFoldCertificate:
+    """One power, ``a**P mod m_s``, decides whether a period ``P`` folds ``a**N mod |m|``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(structured_pairs, st.none() | st.integers(min_value=0, max_value=10**7))
+    @example((2, 1024), 3)  # m_s = 1: every P folds, and 1 % m_s == 0
+    @example((6, 105765), 25600 // 2)  # a proper divisor of phi(m_s)
+    def test_one_power_decides_the_fold(self, pair, period):
+        a, m = pair
+        chain = build_chain(a, m)
+        period = chain.phi_ms if period is None else period
+        certified = pow(a, period, chain.m_s) == 1 % chain.m_s
+        base = pow(a, chain.s, chain.m_norm)
+        folds = [pow(a, chain.s + k * period, chain.m_norm) == base for k in (1, 2, 3)]
+        assert certified == all(folds) == folds[0]
+        if period == chain.phi_ms:
+            assert certified
+
+    def test_wrong_totient_past_psi_13_raises(self, composite_taken_for_prime):
+        n = composite_taken_for_prime
+        for a, m in ((2, n), (-2, -n), (6, 12 * n), (3**5, 3 * n)):
+            chain = build_chain(a, m)
+            assert chain.m_s == n and chain.phi_ms == n - 1  # what a prime n would give
+            with pytest.raises(CertificateError, match="fold certificate failed"):
+                solve(a, "9" * 400, m)
+            with pytest.raises(CertificateError):
+                reduced_pow(a, 12345, m)
+            with pytest.raises(ArithmeticError):  # its documented base class
+                solve(a, 0, m)
+
+    def test_right_totient_past_psi_13_passes(self):
+        n = 1_000_000_000_039 * 10_000_000_000_037
+        for a, m in ((2, n), (-2, -n), (6, 12 * n), (3**5, 3 * n)):
+            assert solve(a, "9" * 400, m)[2] == pow(a, 10**400 - 1, abs(m))
 
 
 class TestChainDependsOnlyOnGcd:
