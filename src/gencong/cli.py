@@ -3,7 +3,8 @@
 Operands are decimal integer strings of arbitrary length (optional leading
 minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
 ``ValueError`` from the library, e.g. zero modulus), 3 verification failure
-(including a ``CertificateError`` from ``solve``), 141 stdout closed early (as a shell reports a writer killed by SIGPIPE).
+(including a ``CertificateError`` from ``solve``), 141 stdout closed early
+(as a shell reports a writer killed by SIGPIPE).
 
 Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
 the parser is the one list of subcommands.  A handler takes the parsed

@@ -20,21 +20,29 @@ def _restore_int_str_digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
-#: A composite past psi_13 (p and q are primes of 40 and 44 bits), the
-#: smallest size at which ``reduction.solve`` certifies its fold.
+#: A composite past psi_13 (p and q are primes of 40 and 44 bits), so
+#: ``reduction.solve`` certifies any fold modulo it.
 FAKE_PRIME = 1_000_000_000_039 * 10_000_000_000_037
 
 
 @pytest.fixture
-def composite_taken_for_prime(monkeypatch):
-    """Make ``arith.is_prime`` accept :data:`FAKE_PRIME`, so its totient comes out wrong.
+def take_for_prime(monkeypatch):
+    """``take_for_prime(n)`` makes ``arith.is_prime`` accept the composite ``n``.
 
-    The totient cache is cleared before and after, so no wrong value outlives the test.
+    ``totient(n)`` then comes out as ``n - 1``, which is wrong.  The totient
+    cache is cleared when ``n`` is taken and after the test, so no wrong
+    value outlives it.
     """
     from gencong import arith
 
     real = arith.is_prime
-    monkeypatch.setattr(arith, "is_prime", lambda n: n == FAKE_PRIME or real(n))
-    arith.totient.cache_clear()
-    yield FAKE_PRIME
+    taken = set()
+
+    def take(n):
+        taken.add(n)
+        arith.totient.cache_clear()
+        return n
+
+    monkeypatch.setattr(arith, "is_prime", lambda n: n in taken or real(n))
+    yield take
     arith.totient.cache_clear()

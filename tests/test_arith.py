@@ -167,7 +167,9 @@ def bpsw(n):
 
 
 odd_20_to_200_bits = st.integers(min_value=20, max_value=200).flatmap(
-    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)).map(lambda n: n | 1)
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+).map(lambda n: n | 1)
+odd_squares = st.integers(min_value=3, max_value=2**100).map(lambda k: (k | 1) ** 2)
 
 
 class TestBailliePSW:
@@ -195,6 +197,20 @@ class TestBailliePSW:
         for n in pseudoprimes:
             assert not bpsw(n), n
 
+    def test_is_prime_past_psi_13_needs_both_halves(self, monkeypatch):
+        # each half alone rejects this composite, so dropping either from
+        # is_prime's last branch is seen
+        n = 1_000_000_000_039 * 10_000_000_000_037
+        assert n > PSI[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "_is_strong_lucas_prp", lambda n: True)
+            assert not is_prime(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "_is_composite_witness", lambda *args: False)
+            assert not is_prime(n)
+        # and a strong base-2 pseudoprime past psi_13 is left to the Lucas half
+        assert is_strong_probable_prime(PSI[-1], 2) and not is_prime(PSI[-1])
+
     def test_lucas_half_matches_sympy(self):
         # the first strong Lucas pseudoprimes (OEIS A217255) pass it, as in sympy
         for n in (5459, 5777, 10877, 16109, 18971):
@@ -204,7 +220,7 @@ class TestBailliePSW:
             assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
 
     @settings(max_examples=300, deadline=None)
-    @given(odd_20_to_200_bits | st.integers(min_value=3, max_value=2**100).map(lambda k: (k | 1) ** 2))
+    @given(odd_20_to_200_bits | odd_squares)
     def test_lucas_half_matches_sympy_on_large_odd_n(self, n):
         # odd squares too, which have no Selfridge D and must be screened out first
         assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n)

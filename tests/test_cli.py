@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FAKE_PRIME
 from gencong import arith, cli, reduction
 from gencong.cli import (
     EXIT_BROKEN_PIPE,
@@ -201,9 +202,8 @@ class TestPowCommand:
         ]
 
 
-    def test_certificate_failure_prints_no_residue_and_exits_3(self, capsys,
-                                                               composite_taken_for_prime):
-        n = str(composite_taken_for_prime)
+    def test_certificate_failure_prints_no_residue_and_exits_3(self, capsys, take_for_prime):
+        n = str(take_for_prime(FAKE_PRIME))
         for extra in ((), ("--json",), ("--trace",)):
             code, out, err = run_cli(capsys, "pow", "6", "25604", n, *extra)
             assert code == EXIT_VERIFY_FAILED, extra
@@ -211,8 +211,8 @@ class TestPowCommand:
             assert err.startswith("gencong: error: fold certificate failed"), err
 
     def test_batch_answers_the_lines_after_a_certificate_failure(self, capsys, monkeypatch,
-                                                                 composite_taken_for_prime):
-        n = composite_taken_for_prime
+                                                                 take_for_prime):
+        n = take_for_prime(FAKE_PRIME)
         stdin = f"6 25604 105765\n2 {'9' * 400} {n}\n5 3 0\n7 0 13\n"
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         code, out, err = run_cli(capsys, "pow")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FAKE_PRIME
 from gencong import reduction
 from gencong.arith import Factorization, factorize, mod_pow, totient
 from gencong.reduction import (
@@ -364,8 +365,8 @@ class TestFoldCertificate:
         if period == chain.phi_ms:
             assert certified
 
-    def test_wrong_totient_past_psi_13_raises(self, composite_taken_for_prime):
-        n = composite_taken_for_prime
+    def test_wrong_totient_past_psi_13_raises(self, take_for_prime):
+        n = take_for_prime(FAKE_PRIME)
         for a, m in ((2, n), (-2, -n), (6, 12 * n), (3**5, 3 * n)):
             chain = build_chain(a, m)
             assert chain.m_s == n and chain.phi_ms == n - 1  # what a prime n would give
@@ -377,9 +378,22 @@ class TestFoldCertificate:
                 solve(a, 0, m)
 
     def test_right_totient_past_psi_13_passes(self):
-        n = 1_000_000_000_039 * 10_000_000_000_037
+        n = FAKE_PRIME
         for a, m in ((2, n), (-2, -n), (6, 12 * n), (3**5, 3 * n)):
             assert solve(a, "9" * 400, m)[2] == pow(a, 10**400 - 1, abs(m))
+
+    def test_checked_from_psi_13_on_and_only_for_this_base(self, take_for_prime):
+        # psi_13 = 1287836182261 * 2575672364521 is a Fermat pseudoprime to
+        # every base below 43, so for those a**(psi_13 - 1) == 1 certifies the
+        # wrong phi for this a, and the residue is right anyway; 43 and 47
+        # expose it
+        psi_13 = take_for_prime(3317044064679887385961981)
+        assert build_chain(2, psi_13).phi_ms == psi_13 - 1
+        for a in (2, 6, 41, -42):
+            assert solve(a, "9" * 400, psi_13)[2] == pow(a, 10**400 - 1, psi_13)
+        for a in (43, 47, 2 * 43):
+            with pytest.raises(CertificateError):
+                solve(a, 5, psi_13)
 
 
 class TestChainDependsOnlyOnGcd:
