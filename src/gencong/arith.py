@@ -1,7 +1,8 @@
 """Exact integer primitives: primality, factorization, totient, powmod.
 
 Everything operates on arbitrary-precision ints, is pure and deterministic,
-and never touches floating point.
+and never touches floating point.  ``is_prime`` is a proof below psi_13 and
+Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 """
 
 from __future__ import annotations
@@ -96,44 +97,40 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _is_strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test of odd ``n > 2``, Selfridge's method A.
+def _is_extra_strong_lucas_prp(n: int) -> bool:
+    """Extra strong Lucas probable-prime test of odd ``n > 2`` (Grantham 2001).
 
-    ``D`` is the first of 5, -7, 9, -11, ... with Jacobi symbol ``(D/n) == -1``,
-    ``P = 1`` and ``Q = (1 - D) / 4`` (Baillie-Wagstaff 1980).  With
-    ``n + 1 == d * 2**r``, ``n`` passes when ``U_d == 0`` or some
-    ``V_(d * 2**j) == 0 (mod n)``, ``j < r``.  A perfect square has no such
-    ``D``, so it is rejected first.
+    ``P`` is the first of 3, 4, 5, ... with Jacobi symbol ``((P*P - 4)/n) == -1``
+    and ``Q = 1``, so only ``V`` is needed.  With ``n + 1 == d * 2**r``, ``n``
+    passes when ``V_d == ±2`` and ``U_d == 0``, or when some
+    ``V_(d * 2**j) == 0``, ``j <= r - 2`` (all mod n).  A perfect square has no
+    such ``P``, so it is rejected first.
     """
     if math.isqrt(n) ** 2 == n:
         return False
-    D = 5
-    while _jacobi(D, n) != -1:
-        if math.gcd(D, n) not in (1, n):
+    P = 3
+    while _jacobi(P * P - 4, n) != -1:
+        if math.gcd(P * P - 4, n) not in (1, n):
             return False
-        D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4 % n
+        P += 1
     d, r = n + 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # binary chain over d's bits from the top: (U_k, V_k, Q^k) for k = 1, then
-    # doubling to 2k, and 2k + 1 where the bit is set (halving mod odd n)
-    U, V, Qk = 1, 1, Q
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+    # ladder over d's bits from the top: (V_k, V_(k+1)), k = 0, to 2k or 2k + 1
+    V, W = 2, P
+    for bit in bin(d)[2:]:
         if bit == "1":
-            U, V = U + V, D * U + V
-            U = (U + n if U % 2 else U) // 2 % n
-            V = (V + n if V % 2 else V) // 2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
+            V, W = (V * W - P) % n, (W * W - 2) % n
+        else:
+            V, W = (V * V - 2) % n, (V * W - P) % n
+    # (P*P - 4) * U_d == 2 * V_(d+1) - P * V_d, and P*P - 4 is a unit mod n
+    if V in (2, n - 2) and (2 * W - P * V) % n == 0:
         return True
     for _ in range(r - 1):
-        V = (V * V - 2 * Qk) % n
         if V == 0:
             return True
-        Qk = Qk * Qk % n
+        V = (V * V - 2) % n
     return False
 
 
@@ -143,10 +140,10 @@ def is_prime(n: int) -> bool:
     One gcd with the product of the trial primes decides every
     ``n < _TRIAL_BOUND**2``.  Above that, below ``psi_k`` Miller-Rabin with
     the first k primes as bases decides n.  From ``psi_13`` on, n must pass a
-    strong base-2 test and a strong Lucas test (Baillie-Wagstaff 1980,
-    Pomerance-Selfridge-Wagstaff 1980): no composite is known to pass both,
-    but none is proven not to, which is why ``reduction.solve`` certifies
-    its fold past this bound.
+    strong base-2 test and an extra strong Lucas test (Baillie-Wagstaff 1980,
+    Grantham 2001): no composite is known to pass both, but none is proven
+    not to, which is why ``reduction.solve`` certifies its fold past this
+    bound.
     """
     if n < 2:
         return False
@@ -161,7 +158,7 @@ def is_prime(n: int) -> bool:
     for bound, k in _PSI_BOUNDS:
         if n < bound:
             return not any(_is_composite_witness(a, d, r, n) for a in _TRIAL_PRIMES[:k])
-    return not _is_composite_witness(2, d, r, n) and _is_strong_lucas_prp(n)
+    return not _is_composite_witness(2, d, r, n) and _is_extra_strong_lucas_prp(n)
 
 
 def _pollard_brent(n: int) -> int:

@@ -127,9 +127,10 @@ def _factorization_payload(f: Factorization) -> dict:
     return {"n": str(f.n), "phi": str(f.phi), "factors": factors}
 
 
-def _congruence_line(a: int, exponent: str, reduced: int, m: int) -> str:
-    base = f"({a})" if a < 0 else str(a)
-    return f"{base}^{exponent} ≡ {base}^{reduced} (mod {m})"
+def _congruence_line(chain: ReductionChain, n_text: str, reduced: int) -> str:
+    """``pow --trace``'s last line, with ``N`` as typed less its leading ``-`` and zeros."""
+    base = f"({chain.a_input})" if chain.a_input < 0 else str(chain.a_input)
+    return f"{base}^{n_text.lstrip('-0') or '0'} ≡ {base}^{reduced} (mod {chain.m_norm})"
 
 
 def _exit_code(err: CliError | ValueError | CertificateError) -> int:
@@ -154,8 +155,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return _emit(args, lambda: _chain_json(chain), lambda: _chain_lines(chain))
 
 
-def _solve_pow(fields: Iterable[str]) -> tuple[int, str, tuple[ReductionChain, int, int]]:
-    """``(a, N, solve(a, N, m))`` for the operands ``a N m``; ``-0`` is ``0``.
+def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
+    """``solve(a, N, m)`` for the operands ``a N m``; ``-0`` is ``0``.
 
     ``N`` stays a string, which ``solve`` checks and folds without the
     quadratic ``int()``.  That check is the one scan of its digits: ``N`` is
@@ -170,7 +171,7 @@ def _solve_pow(fields: Iterable[str]) -> tuple[int, str, tuple[ReductionChain, i
             raise CliError(EXIT_USAGE, "N must be non-negative")
         exponent = "0"
     try:
-        return a, exponent, solve(a, exponent, _parse_int(m_text, "m"))
+        return solve(a, exponent, _parse_int(m_text, "m"))
     except (CliError, ValueError):
         if not _INTEGER_RE.fullmatch(n_text):
             raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}") from None
@@ -184,13 +185,12 @@ def cmd_pow(args: argparse.Namespace) -> int:
         return _pow_batch()
     if len(args.operands) != 3:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
-    a, exponent, (chain, reduced, residue) = _solve_pow(args.operands)
+    chain, reduced, residue = _solve_pow(args.operands)
     return _emit(
         args, lambda: _chain_json(chain, reduced_exponent=reduced, residue=residue), lambda: [
             *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
             f"reduced_exponent = {reduced}", f"residue = {residue}",
-            *([_congruence_line(a, exponent.lstrip("0") or "0", reduced, chain.m_norm)]
-              if args.trace else []),
+            *([_congruence_line(chain, args.operands[1], reduced)] if args.trace else []),
         ])
 
 
@@ -209,7 +209,7 @@ def _pow_batch() -> int:
         try:
             if len(fields) != 3:
                 raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            chain, reduced, residue = _solve_pow(fields)[2]
+            chain, reduced, residue = _solve_pow(fields)
             record = _chain_json(chain, reduced_exponent=reduced, residue=residue)
         except (CliError, ValueError, CertificateError) as err:
             code = _exit_code(err)

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.ntheory.primetest import is_strong_lucas_prp
+from sympy.ntheory.primetest import is_extra_strong_lucas_prp
 
 from gencong import arith
 from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
@@ -163,7 +163,7 @@ def bpsw(n):
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    return not arith._is_composite_witness(2, d, r, n) and arith._is_strong_lucas_prp(n)
+    return not arith._is_composite_witness(2, d, r, n) and arith._is_extra_strong_lucas_prp(n)
 
 
 odd_20_to_200_bits = st.integers(min_value=20, max_value=200).flatmap(
@@ -203,7 +203,7 @@ class TestBailliePSW:
         n = 1_000_000_000_039 * 10_000_000_000_037
         assert n > PSI[-1]
         with monkeypatch.context() as patch:
-            patch.setattr(arith, "_is_strong_lucas_prp", lambda n: True)
+            patch.setattr(arith, "_is_extra_strong_lucas_prp", lambda n: True)
             assert not is_prime(n)
         with monkeypatch.context() as patch:
             patch.setattr(arith, "_is_composite_witness", lambda *args: False)
@@ -212,18 +212,28 @@ class TestBailliePSW:
         assert is_strong_probable_prime(PSI[-1], 2) and not is_prime(PSI[-1])
 
     def test_lucas_half_matches_sympy(self):
-        # the first strong Lucas pseudoprimes (OEIS A217255) pass it, as in sympy
-        for n in (5459, 5777, 10877, 16109, 18971):
-            assert arith._is_strong_lucas_prp(n), n
-            assert not sympy.isprime(n)
+        # the first extra strong Lucas pseudoprimes (OEIS A217719) pass it, as
+        # in sympy, and the base-2 half rejects each of them
+        for n in (989, 3239, 5777, 10877, 27971, 29681):
+            assert arith._is_extra_strong_lucas_prp(n), n
+            assert not sympy.isprime(n) and not bpsw(n), n
         for n in range(3, 40_001, 2):
-            assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+            assert arith._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n), n
+
+    def test_lucas_half_screens_squares_before_searching_p(self, monkeypatch):
+        # no P has Jacobi symbol -1 on a square: the search would run to
+        # P = 2**61 - 3 on this one before a gcd ended it
+        def no_search(a, n):
+            raise AssertionError(f"searched P on the square {n}")
+
+        monkeypatch.setattr(arith, "_jacobi", no_search)
+        assert not arith._is_extra_strong_lucas_prp((2**61 - 1) ** 2)
 
     @settings(max_examples=300, deadline=None)
     @given(odd_20_to_200_bits | odd_squares)
     def test_lucas_half_matches_sympy_on_large_odd_n(self, n):
-        # odd squares too, which have no Selfridge D and must be screened out first
-        assert arith._is_strong_lucas_prp(n) == is_strong_lucas_prp(n)
+        # odd squares too, which have no such P and must be screened out first
+        assert arith._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=-(10**30), max_value=10**30), odd_20_to_200_bits)
