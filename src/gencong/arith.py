@@ -196,7 +196,9 @@ def factorize(n: int) -> Factorization:
 
     Trial division by the primes below ``_TRIAL_BOUND`` stops once none
     divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
-    The loop keeps each cofactor ``is_prime`` proves and splits the rest by rho.
+    Once ``p * p`` exceeds the product of the trial primes left to divide
+    out, that product is one prime, so it is taken next.  The loop keeps
+    each cofactor ``is_prime`` proves and splits the rest by rho.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -206,6 +208,8 @@ def factorize(n: int) -> Factorization:
     for p in _TRIAL_PRIMES:
         if small == 1 or p * p > n:
             break
+        if p * p > small:  # small is a product of trial primes >= p, so one prime
+            p = small
         if small % p == 0:
             small //= p
             while n % p == 0:

@@ -15,9 +15,10 @@ record for each line it cannot answer).  Powers go through
 string so it is folded in linear time and never converted to an int; the
 library's check of that string is the one scan of its digits.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
-per ``(m, gcd(a, m))`` class and evaluates both sides for every pair; a
-failing pair's witness is its own chain, and under ``--json`` it is the
-``reduce`` JSON object plus ``lhs``/``rhs``.
+per ``(m, gcd(a, m))`` class and evaluates both sides once per distinct
+residue ``a mod |m|`` in each block of bases; a failing pair's witness is
+its own chain, and under ``--json`` it is the ``reduce`` JSON object plus
+``lhs``/``rhs``.
 """
 
 from __future__ import annotations

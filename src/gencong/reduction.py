@@ -15,9 +15,16 @@ period ``P`` used in place of phi(m_s).  ``|m| / m_s = prod(c_i**(i+1))``
 over the chain's cofactors, and each ``c_i`` divides ``d_0``, which divides
 ``a``; so ``|m| / m_s`` divides ``a**s``, while ``gcd(a, m_s) == 1``.  By the
 Chinese remainder theorem, ``a**(s + k*P) == a**s (mod |m|)`` for every
-``k >= 0`` exactly when ``a**P == 1 (mod m_s)``.  :func:`solve` checks this
-whenever ``m_s >= psi_13``, the bound past which ``is_prime`` (and so
-phi(m_s)) rests on the Baillie-PSW test rather than a proof, and raises
+``k >= 0`` exactly when ``a**P == 1 (mod m_s)``.
+
+Only the part ``u`` of ``m_s = t * u`` past the trial primes needs that
+power, ``t`` being made of the primes below ``_TRIAL_BOUND``.  Trial
+division finds ``t``'s primes and exponents exactly, so phi(t) divides the
+computed phi(m_s) whatever ``is_prime`` did on ``u``, and ``gcd(a, t) == 1``
+gives ``a**phi_ms == 1 (mod t)``; by the Chinese remainder theorem the power
+modulo ``u`` decides.  When ``u < psi_13`` every prime test on its factors
+was a proof, so :func:`solve` checks ``a**phi_ms == 1 (mod u)`` only when
+``u >= psi_13``, where ``is_prime`` rests on the Baillie-PSW test, and raises
 :class:`CertificateError` instead of returning a residue it cannot vouch for.
 
 Sign conventions: phi(m) == phi(-m) and congruence mod m equals congruence
@@ -34,7 +41,7 @@ from collections.abc import Sequence
 from math import gcd
 from typing import NamedTuple
 
-from .arith import _PSI_13, mod_pow, totient
+from .arith import _PRIMORIAL, _PSI_13, mod_pow, totient
 
 __all__ = [
     "CertificateError",
@@ -53,6 +60,10 @@ __all__ = [
 #: Digits per ``int()`` call when folding a decimal-string exponent; longer
 #: chunks pay the quadratic conversion, shorter ones more Python-level steps.
 CHUNK_DIGITS = 300
+
+#: Bases per block in :func:`verify_sweep`: the sweep holds one block's
+#: residues at a time, and evaluates each distinct one once per block.
+_SWEEP_BLOCK = 4096
 
 
 class CertificateError(ArithmeticError):
@@ -169,14 +180,18 @@ def verify_sweep(a_values: Sequence[int],
     """Check the congruence for every pair ``(a, m)`` with ``m != 0``.
 
     Returns the number of pairs checked and the falsy checks, in a-major
-    order.  The chain depends on ``a`` only through ``g = gcd(a, m)``, so
-    the first pair of each class ``(m, g)`` goes through
-    :func:`verify_theorem`, and every later one is checked by evaluating
-    both sides with that class's exponents ``phi_ms + s`` and ``s``.  A later
-    pair that fails gets its own chain as the witness.  Pairs are visited
-    modulus by modulus, so only one modulus's classes are held at a time;
-    ``a_values`` is therefore iterated once per modulus and may not be a
-    one-shot iterator.
+    order.  Both sides depend on ``a`` only through ``r = a mod |m|``:
+    ``pow(a, e, |m|) == pow(r, e, |m|)`` and ``gcd(a, m) == gcd(r, m)``, so
+    every pair's verdict is its residue's.  For each modulus the bases are
+    read in blocks of :data:`_SWEEP_BLOCK`, and both sides are evaluated
+    once for each distinct residue of the block.  The chain depends on ``a``
+    only through ``g = gcd(a, m)``, so the first pair of each class
+    ``(m, g)`` goes through :func:`verify_theorem`, and every later residue
+    is checked with that class's exponents ``phi_ms + s`` and ``s``.  Each
+    pair whose residue fails gets its own chain as the witness.  Memory
+    holds one block and one modulus's classes at a time, whatever the
+    ranges; ``a_values`` is sliced anew for each modulus, so it must be a
+    sequence, not a one-shot iterator.
     """
     if iter(a_values) is a_values:
         raise TypeError("a_values must be a sequence such as a range, not an iterator")
@@ -187,21 +202,26 @@ def verify_sweep(a_values: Sequence[int],
             continue
         m_norm = abs(m)
         exponents: dict[int, tuple[int, int]] = {}  # g -> (phi_ms + s, s)
-        i = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
-        for i, a in enumerate(a_values, 1):
-            g = gcd(a, m_norm)
-            known = exponents.get(g)
-            if known is None:
-                check = verify_theorem(a, m)
-                exponents[g] = (check.chain.phi_ms + check.chain.s, check.chain.s)
-                if not check:
-                    failures.append((i, check))
-                continue
-            lhs, rhs = pow(a, known[0], m_norm), pow(a, known[1], m_norm)
-            if lhs != rhs:
-                check = TheoremCheck(ok=False, lhs=lhs, rhs=rhs, chain=build_chain(a, m))
-                failures.append((i, check))
-        checked += i
+        offset = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
+        while block := a_values[offset:offset + _SWEEP_BLOCK]:
+            residues = [a % m_norm for a in block]
+            for r in dict.fromkeys(residues):
+                g = gcd(r, m_norm)
+                known = exponents.get(g)
+                if known is None:
+                    check = verify_theorem(block[residues.index(r)], m)
+                    exponents[g] = (check.chain.phi_ms + check.chain.s, check.chain.s)
+                    lhs, rhs = check.lhs, check.rhs
+                else:
+                    high, low = known
+                    lhs = pow(r, high, m_norm)
+                    rhs = pow(r, low, m_norm)
+                if lhs != rhs:
+                    failures += ((offset + j, TheoremCheck(
+                        ok=False, lhs=lhs, rhs=rhs, chain=build_chain(block[j], m)))
+                        for j, x in enumerate(residues) if x == r)
+            offset += len(block)
+        checked += offset
     failures.sort(key=lambda failure: failure[0])  # stable: m order kept within one a
     return checked, [check for _, check in failures]
 
@@ -217,20 +237,30 @@ def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:
     zeros allowed).  A string longer than :data:`CHUNK_DIGITS` digits is
     folded in linear time, by Horner's rule over chunks of that many digits.
     """
-    if isinstance(exponent, str):
-        # isascii() is O(1); bytes.isdigit() is the one scan, 3-4x a regex's speed
-        if not (exponent.isascii() and exponent.encode().isdigit()):
-            raise ValueError(f"exponent must be ASCII decimal digits, got {exponent[:40]!r}")
-        digits = exponent.lstrip("0")
-        if len(digits) > CHUNK_DIGITS:
-            # N >= 10**CHUNK_DIGITS, far past s <= log2|m| + 1
-            return chain.s + (_mod_decimal(digits, chain.phi_ms) - chain.s) % chain.phi_ms
-        exponent = int(digits or "0")
+    if isinstance(exponent, str) and not isinstance(exponent, _Digits):
+        exponent = _checked_exponent(exponent)
+    if isinstance(exponent, _Digits):
+        # N >= 10**CHUNK_DIGITS, far past s <= log2|m| + 1
+        return chain.s + (_mod_decimal(exponent, chain.phi_ms) - chain.s) % chain.phi_ms
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     if exponent < chain.s:
         return exponent
     return chain.s + (exponent - chain.s) % chain.phi_ms
+
+
+class _Digits(str):
+    """The digits of an exponent too long for ``int()``, checked, leading zeros stripped."""
+
+
+def _checked_exponent(text: str) -> int | _Digits:
+    """``text``, checked to be ASCII decimal digits, as an int or, past
+    :data:`CHUNK_DIGITS` digits, as :class:`_Digits` to fold without ``int()``."""
+    # isascii() is O(1); bytes.isdigit() is the scan, 3-4x a regex's speed
+    if not (text.isascii() and text.encode().isdigit()):
+        raise ValueError(f"exponent must be ASCII decimal digits, got {text[:40]!r}")
+    digits = text.lstrip("0")
+    return _Digits(digits) if len(digits) > CHUNK_DIGITS else int(digits or "0")
 
 
 def _mod_decimal(digits: str, modulus: int) -> int:
@@ -243,6 +273,15 @@ def _mod_decimal(digits: str, modulus: int) -> int:
     return residue
 
 
+def _past_trial_primes(n: int) -> int:
+    """``n`` with every power of a trial prime divided out."""
+    g = gcd(n, _PRIMORIAL)
+    while g > 1:  # squaring g doubles the powers taken out in each round
+        n //= g
+        g = gcd(n, g * g)
+    return n
+
+
 def solve(a: int, exponent: int | str, m: int) -> tuple[ReductionChain, int, int]:
     """``(chain, reduced_exponent, residue)`` for ``a**exponent mod |m|``.
 
@@ -251,14 +290,21 @@ def solve(a: int, exponent: int | str, m: int) -> tuple[ReductionChain, int, int
     but the work is bounded by ``|m|`` and the exponent's digit count, so
     an exponent given as a decimal string of millions of digits is fine.
 
-    When ``m_s >= psi_13`` the fold is certified first (module docstring):
-    if ``a**phi_ms != 1 (mod m_s)``, :class:`CertificateError` is raised.
+    A string exponent is checked before the chain is built, so a malformed
+    one fails before ``m_s`` is factored.  When ``m_s`` has a part past the
+    trial primes of at least psi_13, the fold is certified first (module
+    docstring): if ``a**phi_ms`` is not 1 modulo that part,
+    :class:`CertificateError` is raised.
     """
+    if isinstance(exponent, str):
+        exponent = _checked_exponent(exponent)
     chain = build_chain(a, m)
     reduced = reduce_exponent(chain, exponent)
-    if chain.m_s >= _PSI_13 and pow(a, chain.phi_ms, chain.m_s) != 1:
-        raise CertificateError(f"fold certificate failed: a^phi(m_s) mod m_s != 1 for "
-                               f"m_s = {chain.m_s}, so phi(m_s) = {chain.phi_ms} is wrong")
+    if chain.m_s >= _PSI_13:
+        u = _past_trial_primes(chain.m_s)
+        if u >= _PSI_13 and pow(a, chain.phi_ms, u) != 1:
+            raise CertificateError(f"fold certificate failed: a^phi(m_s) mod m_s != 1 for "
+                                   f"m_s = {chain.m_s}, so phi(m_s) = {chain.phi_ms} is wrong")
     return chain, reduced, mod_pow(a, reduced, chain.m_norm)
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_extra_strong_lucas_prp
 
@@ -273,7 +273,8 @@ class TestFactorize:
 
     def test_trial_division_boundary_matches_sympy(self):
         # 997 is the largest trial prime and 1009 the smallest prime above it
-        for n in (994009, 1018081, 1005973, 997, 1009, 994009 * 1009):
+        for n in (994009, 1018081, 1005973, 997, 1009, 994009 * 1009,
+                  2 * 997, 997 * 1013, 3 * 991 * 997 * 1013):
             assert dict(factorize(n).factors) == sympy.factorint(n), n
 
     def test_semiprime_with_large_factors(self):
@@ -292,6 +293,9 @@ class TestFactorize:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(min_value=1, max_value=10**15), trial_powers_times_large_primes))
+    @example(2 * 997)  # the last trial prime dividing n is taken without the ones below it
+    @example(997 * 1013)
+    @example(3 * 991 * 997 * 1013)
     def test_first_cofactor_tested_is_that_of_plain_trial_division(self, n):
         # trial division by every prime below 1000 until p * p > n leaves
         # this cofactor; it must be the first number factorize hands is_prime

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -481,7 +482,7 @@ class TestParsing:
         assert err == "gencong: error: stub domain check\n"
 
     def test_bad_exponent_is_reported_in_operand_order(self, capsys):
-        # the library scans N, after the chain; the CLI still names N before m
+        # the library scans N; the CLI still names N before m
         for m in ("0", "x", "105765", "-0"):
             for n in ("x", "1_0", "", "0" * 400 + "x"):
                 code, out, err = run_cli(capsys, "pow", "6", n, m)
@@ -492,6 +493,18 @@ class TestParsing:
         assert run_cli(capsys, "pow", "x", "x", "x")[2].startswith("gencong: error: a must")
         assert run_cli(capsys, "pow", "6", "5", "x")[2].startswith("gencong: error: m must")
         assert run_cli(capsys, "pow", "6", "-00", "0")[0] == EXIT_DOMAIN
+
+    def test_bad_exponent_is_reported_before_m_s_is_factored(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        m = sympy.nextprime(2**40) * sympy.nextprime(2**41)
+        arith.totient.cache_clear()
+        monkeypatch.setattr(arith, "factorize", refuse)
+        for n in ("x", "1_0", "9" * 400 + "x"):
+            code, out, err = run_cli(capsys, "pow", "2", n, str(m))
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"gencong: error: N must be a decimal integer, got {n!r}\n"
 
     def test_valid_exponent_is_not_scanned_by_the_cli(self, capsys, monkeypatch):
         scanned = []

@@ -395,6 +395,28 @@ class TestFoldCertificate:
             with pytest.raises(CertificateError):
                 solve(a, 5, psi_13)
 
+    def test_wrong_totient_past_the_trial_primes_raises(self, take_for_prime):
+        # m_s = 2**200 * FAKE_PRIME: the power is taken modulo FAKE_PRIME alone,
+        # which still exposes its wrong totient
+        n = take_for_prime(FAKE_PRIME)
+        for a, m in ((3, 2**200 * n), (-5, -(2**200) * n), (7 * 11, 2**200 * 7 * n)):
+            chain = build_chain(a, m)
+            assert chain.m_s == 2**200 * n and chain.phi_ms == 2**199 * (n - 1)
+            with pytest.raises(CertificateError):
+                solve(a, 12345, m)
+
+    def test_no_power_when_only_trial_primes_reach_psi_13(self, monkeypatch):
+        # m_s = 2**100 * 1000003 >= psi_13, but its part past the trial primes
+        # is proven prime, so phi(m_s) is exact and no certificate is taken
+        powers = []
+        monkeypatch.setattr(reduction, "pow", lambda *args: powers.append(args) or pow(*args),
+                            raising=False)
+        m = 3**4 * 2**100 * 1000003
+        chain, reduced, residue = solve(3 * 7, 10**40 + 1, m)
+        assert chain.m_s == 2**100 * 1000003 >= reduction._PSI_13
+        assert residue == pow(21, 10**40 + 1, m)
+        assert powers == []
+
 
 class TestChainDependsOnlyOnGcd:
     """``verify_sweep`` builds one chain per ``(m, gcd(a, m))``; this is why that is sound."""
@@ -425,6 +447,19 @@ def _pairwise_failures(a_values, m_values):
     """The falsy ``verify_theorem`` results of a plain a-major double loop."""
     checks = (verify_theorem(a, m) for a in a_values for m in m_values if m != 0)
     return [check for check in checks if not check]
+
+
+def _wrong_totient(monkeypatch):
+    """Halve ``totient`` on multiples of 7 and 9, so that some residues fail and some pass."""
+    real = reduction.totient
+    monkeypatch.setattr(reduction, "totient",
+                        lambda n: real(n) // 2 if n % 7 == 0 or n % 9 == 0 else real(n))
+
+
+small_ranges = st.builds(range, st.integers(-60, 60), st.integers(-60, 60),
+                         st.integers(-7, 7).filter(bool))
+base_tuples = st.lists(st.integers(-5, 5) | st.integers(-200, 200), max_size=40).map(tuple)
+moduli_tuples = st.lists(st.integers(-40, 40), max_size=8).map(tuple)
 
 
 class TestVerifySweep:
@@ -464,3 +499,27 @@ class TestVerifySweep:
         assert {(m, math.gcd(a, m)) for a, m in calls} == classes
         assert all(a == min(b for b in a_values if math.gcd(b, m) == math.gcd(a, m))
                    for a, m in calls)
+
+    @pytest.mark.parametrize("block", [1, 7, reduction._SWEEP_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(small_ranges | base_tuples, small_ranges | moduli_tuples)
+    @example(range(-20, 21), range(-27, 28))
+    @example((5, 5, -4, 5, 14, 5), (9, -9, 0, 9))
+    def test_matches_pairwise_checks_across_blocks(self, block, a_values, m_values):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _wrong_totient(monkeypatch)
+            monkeypatch.setattr(reduction, "_SWEEP_BLOCK", block)
+            expected = _pairwise_failures(a_values, m_values)
+            pairs = len(a_values) * sum(m != 0 for m in m_values)
+            assert verify_sweep(a_values, m_values) == (pairs, expected)
+
+    def test_one_pair_of_powers_per_residue(self, monkeypatch):
+        # 4001 consecutive bases hold every residue mod m <= 100 about 4001 / m
+        # times; each is evaluated once, whether by verify_theorem or the sweep
+        calls = []
+        for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
+            monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
+                                or real(*args), raising=False)
+        m_values = range(1, 101)
+        assert verify_sweep(range(-2000, 2001), m_values) == (4001 * 100, [])
+        assert len(calls) <= 2 * sum(min(m, 4001) for m in m_values)
