@@ -1,10 +1,11 @@
 """Command-line front end: reduce, pow, totient, verify, selftest.
 
-Operands are decimal integer strings of arbitrary length (optional leading
-minus).  Exit codes: 0 success, 1 usage/parse error, 2 domain error (a
-``ValueError`` from the library, e.g. zero modulus), 3 verification failure
-(including a ``CertificateError`` from ``solve``), 141 stdout closed early
-(as a shell reports a writer killed by SIGPIPE).
+Operands are decimal integer strings of arbitrary length: one or more
+ASCII digits after an optional ``-``, as ``_is_integer`` states once for
+all of them.  Exit codes: 0 success, 1 usage/parse error, 2 domain error
+(a ``ValueError`` from the library, e.g. zero modulus), 3 verification
+failure (including a ``CertificateError`` from ``solve``), 141 stdout
+closed early (as a shell reports a writer killed by SIGPIPE).
 
 Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
 the parser is the one list of subcommands.  A handler takes the parsed
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from typing import Callable, Iterable
 
@@ -50,8 +50,6 @@ EXIT_BROKEN_PIPE = 141
 #: verify refuses range products above this unless --cap raises it.
 DEFAULT_VERIFY_CAP = 10**6
 
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-
 
 class CliError(Exception):
     """Command failure carrying its process exit code."""
@@ -66,22 +64,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, message)
 
 
+def _is_integer(text: str) -> bool:
+    """The operand syntax: one or more ASCII digits after an optional ``-``."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()  # isdigit() alone admits "٣" and "²"
+
+
 def _parse_int(text: str, name: str) -> int:
-    if not _INTEGER_RE.fullmatch(text):
+    if not _is_integer(text):
         raise CliError(EXIT_USAGE, f"{name} must be a decimal integer, got {text!r}")
     return int(text)
 
 
 def _cap(text: str) -> int:
     """``--cap``'s type: the operands' syntax, refused in argparse's own words."""
-    if not _INTEGER_RE.fullmatch(text):
+    if not _is_integer(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
 def _parse_range(text: str, flag: str) -> range:
     lo_text, _, hi_text = text.partition("..")
-    if not (_INTEGER_RE.fullmatch(lo_text) and _INTEGER_RE.fullmatch(hi_text)):
+    if not (_is_integer(lo_text) and _is_integer(hi_text)):
         raise CliError(EXIT_USAGE, f"{flag} expects LO..HI, got {text!r}")
     lo, hi = int(lo_text), int(hi_text)
     if lo > hi:
@@ -116,11 +120,11 @@ def _chain_json(chain: ReductionChain, **fields: int) -> str:
     Laid out exactly as ``json.dumps`` would; every value is an integer, so
     nothing needs escaping.
     """
-    steps = ", ".join(f'{{"i": {step.index}, "d": "{step.d}", "m_rem": "{step.m_rem}"}}'
-                      for step in chain.steps)
-    extra = "".join(f', "{key}": "{value}"' for key, value in fields.items())
-    return (f'{{"a": "{chain.a_input}", "m": "{chain.m_norm}", "steps": [{steps}], '
-            f'"s": {chain.s}, "m_s": "{chain.m_s}", "phi_m_s": "{chain.phi_ms}"{extra}}}')
+    a, _, m_norm, steps, s, m_s, phi_ms, _ = chain
+    rows = ", ".join([f'{{"i": {i}, "d": "{d}", "m_rem": "{m_rem}"}}' for i, d, m_rem in steps])
+    extra = "".join([f', "{key}": "{value}"' for key, value in fields.items()])
+    return (f'{{"a": "{a}", "m": "{m_norm}", "steps": [{rows}], '
+            f'"s": {s}, "m_s": "{m_s}", "phi_m_s": "{phi_ms}"{extra}}}')
 
 
 def _factorization_payload(f: Factorization) -> dict:
@@ -167,14 +171,14 @@ def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
     a_text, n_text, m_text = fields
     a = _parse_int(a_text, "a")
     exponent = n_text
-    if n_text.startswith("-") and _INTEGER_RE.fullmatch(n_text):
+    if n_text.startswith("-") and _is_integer(n_text):
         if n_text.strip("-0"):
             raise CliError(EXIT_USAGE, "N must be non-negative")
         exponent = "0"
     try:
         return solve(a, exponent, _parse_int(m_text, "m"))
     except (CliError, ValueError):
-        if not _INTEGER_RE.fullmatch(n_text):
+        if not _is_integer(n_text):
             raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}") from None
         raise
 
@@ -203,6 +207,7 @@ def _pow_batch() -> int:
     highest code of any line.
     """
     worst = EXIT_OK
+    write = sys.stdout.write
     for line_no, raw in enumerate(sys.stdin, 1):
         fields = raw.split()
         if not fields:
@@ -216,7 +221,7 @@ def _pow_batch() -> int:
             code = _exit_code(err)
             worst = max(worst, code)
             record = json.dumps({"line": line_no, "error": str(err), "code": code})
-        print(record)
+        write(record + "\n")
     return worst
 
 

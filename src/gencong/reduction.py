@@ -135,22 +135,12 @@ def build_chain(a: int, m: int) -> ReductionChain:
     current_a, current_m, i = a, m_norm, 0
     while True:
         d = gcd(current_a, current_m)
-        m_rem = current_m // d
-        steps.append(ReductionStep(i, d, m_rem))
+        current_m //= d
+        steps.append(ReductionStep(i, d, current_m))
         if d == 1:
-            break
-        current_a, current_m, i = d, m_rem, i + 1
-    m_s = steps[-1].m_rem
-    return ReductionChain(
-        a_input=a,
-        m_input=m,
-        m_norm=m_norm,
-        steps=tuple(steps),
-        s=i,
-        m_s=m_s,
-        phi_ms=totient(m_s),
-        a0=a // steps[0].d,
-    )
+            return ReductionChain(a, m, m_norm, tuple(steps), i, current_m,
+                                  totient(current_m), a // steps[0].d)
+        current_a, i = d, i + 1
 
 
 def cofactors(chain: ReductionChain) -> list[int]:

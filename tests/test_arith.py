@@ -66,6 +66,27 @@ trial_powers_times_large_primes = st.builds(
 )
 
 
+def factorize_counted(n):
+    """``factorize(n)``'s factors as a dict, and its ``is_prime`` and rho calls."""
+    calls = {"is_prime": 0, "_pollard_brent": 0}
+    real = {name: getattr(arith, name) for name in calls}
+
+    def counted(name):
+        def wrapper(m):
+            calls[name] += 1
+            return real[name](m)
+        return wrapper
+
+    for name in calls:
+        setattr(arith, name, counted(name))
+    try:
+        factors = dict(factorize(n).factors)
+    finally:
+        for name, function in real.items():
+            setattr(arith, name, function)
+    return factors, calls
+
+
 def plain_trial_cofactor(n):
     """What trial division by every prime below 1000, until ``p * p > n``, leaves."""
     for p in sympy.primerange(2, 1000):
@@ -312,28 +333,30 @@ class TestFactorize:
     @settings(max_examples=200, deadline=None)
     @given(trial_powers_times_large_primes)
     def test_cofactor_loop_tests_each_node_once_and_runs_rho_once_per_composite(self, n):
-        # the split tree of a cofactor with omega prime factors (with
-        # multiplicity) has omega leaves and omega - 1 splits: each of its
-        # 2 * omega - 1 nodes is tested once and each inner node split once
-        calls = {"is_prime": 0, "_pollard_brent": 0}
-        real = {name: getattr(arith, name) for name in calls}
-
-        def counted(name):
-            def wrapper(m):
-                calls[name] += 1
-                return real[name](m)
-            return wrapper
-
-        for name in calls:
-            setattr(arith, name, counted(name))
-        try:
-            factors = dict(factorize(n).factors)
-        finally:
-            for name, function in real.items():
-                setattr(arith, name, function)
-        omega = sum(sympy.factorint(plain_trial_cofactor(n)).values())
-        assert calls == {"is_prime": max(2 * omega - 1, 0), "_pollard_brent": max(omega - 1, 0)}
+        # the split tree of a cofactor of omega distinct primes has omega
+        # leaves and omega - 1 splits: each of its 2 * omega - 1 nodes is
+        # tested once and each inner node split once.  A repeated prime is
+        # divided out to its full power once proved, which can only save calls.
+        factors, calls = factorize_counted(n)
+        cofactor = sympy.factorint(plain_trial_cofactor(n))
+        omega = sum(cofactor.values())
+        most = {"is_prime": max(2 * omega - 1, 0), "_pollard_brent": max(omega - 1, 0)}
+        if all(e == 1 for e in cofactor.values()):
+            assert calls == most
+        else:
+            assert all(calls[name] <= most[name] for name in calls)
         assert factors == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n, is_prime_calls, rho_runs", [
+        (1013**80, 2, 1),  # was 159 and 79, one prime split off at a time
+        (1013 * 10007**5, 4, 2),  # 7 and 5 if a cofactor were popped before its factor
+    ])
+    def test_proved_prime_is_divided_out_to_its_full_power(self, n, is_prime_calls, rho_runs):
+        # rho's first factor of 1013**80 is 1013, proved once and divided out
+        # of its cofactor; rho's c = 1, 2, ... makes the counts deterministic
+        factors, calls = factorize_counted(n)
+        assert factors == sympy.factorint(n)
+        assert calls == {"is_prime": is_prime_calls, "_pollard_brent": rho_runs}
 
 
 class TestTotient:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -506,16 +507,31 @@ class TestParsing:
             assert (code, out) == (EXIT_USAGE, "")
             assert err == f"gencong: error: N must be a decimal integer, got {n!r}\n"
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | st.from_regex(r"-?[0-9]+", fullmatch=True))
+    @example("")
+    @example("-")
+    @example("--5")
+    @example("+5")
+    @example(" 5")
+    @example("5\n")
+    @example("1_0")
+    @example("-0")
+    @example("٣")  # a non-ASCII decimal digit
+    @example("²")  # a digit to str.isdigit() alone
+    @example("\udcff")  # a lone surrogate, as surrogateescape reads a bad byte
+    def test_is_integer_matches_the_operand_regex(self, text):
+        assert cli._is_integer(text) == bool(re.fullmatch(r"-?[0-9]+", text))
+
     def test_valid_exponent_is_not_scanned_by_the_cli(self, capsys, monkeypatch):
         scanned = []
+        real = cli._is_integer
 
-        class Recording:
-            def fullmatch(self, text):
-                scanned.append(text)
-                return real.fullmatch(text)
+        def recording(text):
+            scanned.append(text)
+            return real(text)
 
-        real = cli._INTEGER_RE
-        monkeypatch.setattr(cli, "_INTEGER_RE", Recording())
+        monkeypatch.setattr(cli, "_is_integer", recording)
         exponent = "7" * 1000
         code, out, _ = run_cli(capsys, "pow", "6", exponent, "105765")
         assert code == EXIT_OK
