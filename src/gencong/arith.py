@@ -197,10 +197,9 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below ``_TRIAL_BOUND`` stops once none
     divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
     Once ``p * p`` exceeds the product of the trial primes left to divide
-    out, that product is one prime, so it is taken next.  A cofactor left
-    that is 1 or prime ends there; otherwise the loop splits each cofactor
-    ``is_prime`` does not prove by rho, and divides each one it proves out
-    of the pending cofactors to its full power.
+    out, that product is one prime, so it is taken next.  The loop splits
+    each cofactor ``is_prime`` does not prove by rho, and divides each one
+    it proves out of the pending cofactors to its full power.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -217,25 +216,21 @@ def factorize(n: int) -> Factorization:
             while n % p == 0:
                 exponents[p] = exponents.get(p, 0) + 1
                 n //= p
-    if n > 1 and is_prime(n):  # the usual end, with no worklist
-        exponents[n] = 1
-    elif n > 1:
-        d = _pollard_brent(n)
-        pending = [n // d, d]  # rho's factor is popped, and so tested, before its cofactor
-        while pending:
-            q = pending.pop()
-            if not is_prime(q):
-                d = _pollard_brent(q)
-                pending += q // d, d
-                continue
-            rest, k = [], 1  # q is past the trial primes: divide it out to its full power
-            for r in pending:
-                while r % q == 0:
-                    r //= q
-                    k += 1
-                if r > 1:
-                    rest.append(r)
-            exponents[q], pending = k, rest
+    pending = [n] if n > 1 else []
+    while pending:
+        q = pending.pop()
+        if not is_prime(q):
+            d = _pollard_brent(q)
+            pending += q // d, d  # rho's factor is popped, and so tested, before its cofactor
+            continue
+        rest, k = [], 1  # q is past the trial primes: divide it out to its full power
+        for r in pending:
+            while r % q == 0:
+                r //= q
+                k += 1
+            if r > 1:
+                rest.append(r)
+        exponents[q], pending = k, rest
     return Factorization(original, tuple(sorted(exponents.items())))
 
 
