@@ -3,6 +3,9 @@
 Everything operates on arbitrary-precision ints, is pure and deterministic,
 and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
+``factorize`` splits a composite past trial division by one Pollard P-1
+stage with the trial bound as its smoothness bound, and by Pollard-Brent rho
+when that stage finds no proper factor.
 """
 
 from __future__ import annotations
@@ -29,12 +32,22 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-#: Trial division peels off the primes below this bound before rho sees a
-#: cofactor, and one gcd with their product finds the ones that divide n.
+def _largest_power_below(p: int, bound: int) -> int:
+    q = p
+    while q * p < bound:
+        q *= p
+    return q
+
+
+#: Trial division peels off the primes below this bound before a cofactor is
+#: split, and one gcd with their product finds the ones that divide n.
 _TRIAL_BOUND = 1009
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
+#: lcm(1 .. _TRIAL_BOUND - 1), 1,438 bits: P-1's stage 1 exponent, so a prime
+#: p is found when every prime power dividing p - 1 is below the trial bound.
+_PM1_EXPONENT = math.prod(_largest_power_below(p, _TRIAL_BOUND) for p in _TRIAL_PRIMES)
 
 #: is_prime is a proof below this bound and BPSW from it on, where no
 #: counterexample is known but none is proven impossible.
@@ -191,6 +204,18 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
+def _split(n: int) -> int:
+    """Nontrivial factor of an odd composite n: Pollard P-1 stage 1, else rho.
+
+    P-1 (Pollard 1974) takes ``gcd(2**_PM1_EXPONENT - 1, n)``, a multiple of
+    every prime ``p | n`` whose ``p - 1`` divides the exponent.  When that gcd
+    is 1 or n itself (every prime of n found, or a base-2 Wieferich square),
+    Brent's rho splits n instead.
+    """
+    g = math.gcd(pow(2, _PM1_EXPONENT, n) - 1, n)
+    return g if 1 < g < n else _pollard_brent(n)
+
+
 def factorize(n: int) -> Factorization:
     """Factor ``n >= 1``: trial division, then one loop over the cofactors.
 
@@ -198,8 +223,9 @@ def factorize(n: int) -> Factorization:
     divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
     Once ``p * p`` exceeds the product of the trial primes left to divide
     out, that product is one prime, so it is taken next.  The loop splits
-    each cofactor ``is_prime`` does not prove by rho, and divides each one
-    it proves out of the pending cofactors to its full power.
+    each cofactor ``is_prime`` does not prove, by Pollard P-1 and, when that
+    finds nothing, by rho (``_split``), and divides each one it proves out
+    of the pending cofactors to its full power.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -220,8 +246,8 @@ def factorize(n: int) -> Factorization:
     while pending:
         q = pending.pop()
         if not is_prime(q):
-            d = _pollard_brent(q)
-            pending += q // d, d  # rho's factor is popped, and so tested, before its cofactor
+            d = _split(q)
+            pending += q // d, d  # the split's factor is popped, and so tested, before its cofactor
             continue
         rest, k = [], 1  # q is past the trial primes: divide it out to its full power
         for r in pending:

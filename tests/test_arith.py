@@ -66,9 +66,9 @@ trial_powers_times_large_primes = st.builds(
 )
 
 
-def factorize_counted(n):
-    """``factorize(n)``'s factors as a dict, and its ``is_prime`` and rho calls."""
-    calls = {"is_prime": 0, "_pollard_brent": 0}
+def factorize_counted(n, names=("is_prime", "_split")):
+    """``factorize(n)``'s factors as a dict, and its calls to each of ``names`` in arith."""
+    calls = dict.fromkeys(names, 0)
     real = {name: getattr(arith, name) for name in calls}
 
     def counted(name):
@@ -340,7 +340,7 @@ class TestFactorize:
         factors, calls = factorize_counted(n)
         cofactor = sympy.factorint(plain_trial_cofactor(n))
         omega = sum(cofactor.values())
-        most = {"is_prime": max(2 * omega - 1, 0), "_pollard_brent": max(omega - 1, 0)}
+        most = {"is_prime": max(2 * omega - 1, 0), "_split": max(omega - 1, 0)}
         if all(e == 1 for e in cofactor.values()):
             assert calls == most
         else:
@@ -348,11 +348,39 @@ class TestFactorize:
         assert factors == sympy.factorint(n)
 
     def test_proved_prime_is_divided_out_to_its_full_power(self):
-        # rho's first factor of 1013**80 is 1013, proved once and divided out
-        # of its cofactor; rho's c = 1, 2, ... makes the counts deterministic
+        # P-1 finds 1013 in 1013**80, since 1012 = 2**2 * 11 * 23 divides its
+        # exponent and 1013 does not; 1013 is proved once and divided out of
+        # its cofactor
         factors, calls = factorize_counted(1013**80)
         assert factors == {1013: 80}
-        assert calls == {"is_prime": 2, "_pollard_brent": 1}  # 159 and 79 one prime at a time
+        assert calls == {"is_prime": 2, "_split": 1}  # 159 and 79 one prime at a time
+
+    def test_p_minus_1_exponent_is_lcm_below_trial_bound(self):
+        assert arith._PM1_EXPONENT == math.lcm(*range(1, arith._TRIAL_BOUND))
+
+    @pytest.mark.parametrize("n", [
+        1021 * 1031,  # 1020 and 1030 both divide the exponent: the gcd is n
+        1093**2,  # base-2 Wieferich primes: 2**(p-1) == 1 mod p**2, so the gcd is n
+        3511**2,
+    ])
+    def test_p_minus_1_falls_back_to_rho_when_the_gcd_is_n(self, n):
+        factors, calls = factorize_counted(n, ("_split", "_pollard_brent"))
+        assert factors == sympy.factorint(n)
+        assert calls == {"_split": 1, "_pollard_brent": 1}
+
+    def test_p_minus_1_splits_without_rho(self):
+        # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
+        factors, calls = factorize_counted(1021 * 2039, ("_split", "_pollard_brent"))
+        assert factors == {1021: 1, 2039: 1}
+        assert calls == {"_split": 1, "_pollard_brent": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2**19, 2**34 - 42), st.integers(2**19, 2**34 - 42))
+    def test_product_of_two_20_to_34_bit_primes_matches_sympy(self, a, b):
+        # factor-hard's shape; P-1 splits some of these, rho the rest.
+        # 2**34 - 41 is the largest 34-bit prime, so nextprime stays in range
+        n = sympy.nextprime(a) * sympy.nextprime(b)
+        assert dict(factorize(n).factors) == sympy.factorint(n)
 
 
 class TestTotient:
