@@ -3,9 +3,9 @@
 Everything operates on arbitrary-precision ints, is pure and deterministic,
 and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
-``factorize`` splits a composite past trial division by one Pollard P-1
-stage with the trial bound as its smoothness bound, and by Pollard-Brent rho
-when that stage finds no proper factor.
+``factorize`` splits a composite past trial division by Pollard's P-1
+method, stage 1 with the trial bound as its smoothness bound and stage 2 up
+to ``_PM1_B2``, and by Pollard-Brent rho when neither finds a proper factor.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 #: lcm(1 .. _TRIAL_BOUND - 1), 1,438 bits: P-1's stage 1 exponent, so a prime
 #: p is found when every prime power dividing p - 1 is below the trial bound.
 _PM1_EXPONENT = math.prod(_largest_power_below(p, _TRIAL_BOUND) for p in _TRIAL_PRIMES)
+#: P-1's stage 2 covers one more prime factor of p - 1, from _TRIAL_BOUND up to
+#: this bound, in giant steps of _PM1_D = 2*3*5*7 (48 j < _PM1_D are coprime to it).
+_PM1_B2 = 15000
+_PM1_D = 210
 
 #: is_prime is a proof below this bound and BPSW from it on, where no
 #: counterexample is known but none is proven impossible.
@@ -204,15 +208,61 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
+@lru_cache(maxsize=None)
+def _pm1_stage2_rows() -> tuple[tuple[int, ...], ...]:
+    """Row k holds each j with ``k * _PM1_D - j`` a prime in ``[_TRIAL_BOUND, _PM1_B2]``.
+
+    Every such prime q is ``k * _PM1_D - j`` for exactly one k, with
+    ``0 < j < _PM1_D`` coprime to ``_PM1_D``.  Built on first use, not at
+    import: the sieve costs about 1 ms that a run never splitting a cofactor
+    would pay for nothing.
+    """
+    rows: list[list[int]] = [[] for _ in range(-(-_PM1_B2 // _PM1_D) + 1)]
+    for q in _sieve(_PM1_B2 + 1)[len(_TRIAL_PRIMES):]:
+        k = -(-q // _PM1_D)
+        rows[k].append(k * _PM1_D - q)
+    return tuple(map(tuple, rows))
+
+
+def _pm1_stage_2(x: int, n: int) -> int:
+    """P-1 stage 2 from ``x = 2**_PM1_EXPONENT mod n``: a divisor of n, 1 if none found.
+
+    Baby steps are ``x**j`` for odd ``j < _PM1_D``, giant steps
+    ``X_k = x**(k * _PM1_D)``; for each prime ``q = k * _PM1_D - j`` the
+    accumulator takes ``X_k - x**j == x**j * (x**q - 1)``, so a prime p of n
+    whose ``p - 1`` is the stage-1 part times one such q divides it.  The gcd
+    is taken after each giant step and the first one above 1 is returned.
+    """
+    baby = [0] * _PM1_D
+    step, power = x * x % n, x
+    for j in range(1, _PM1_D, 2):
+        baby[j], power = power, power * step % n
+    giant = baby[_PM1_D - 1] * x % n
+    X, acc = 1, 1
+    for row in _pm1_stage2_rows():
+        for j in row:
+            acc = acc * (X - baby[j]) % n
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g
+        X = X * giant % n
+    return 1
+
+
 def _split(n: int) -> int:
-    """Nontrivial factor of an odd composite n: Pollard P-1 stage 1, else rho.
+    """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else rho.
 
     P-1 (Pollard 1974) takes ``gcd(2**_PM1_EXPONENT - 1, n)``, a multiple of
     every prime ``p | n`` whose ``p - 1`` divides the exponent.  When that gcd
-    is 1 or n itself (every prime of n found, or a base-2 Wieferich square),
-    Brent's rho splits n instead.
+    is 1, stage 2 (Montgomery 1987) reuses the same power to find a p whose
+    ``p - 1`` is that times one prime up to ``_PM1_B2``.  When the gcd is n
+    itself (every prime of n found in one step, or a base-2 Wieferich
+    square), or stage 2 finds nothing, Brent's rho splits n instead.
     """
-    g = math.gcd(pow(2, _PM1_EXPONENT, n) - 1, n)
+    x = pow(2, _PM1_EXPONENT, n)
+    g = math.gcd(x - 1, n)
+    if g == 1:
+        g = _pm1_stage_2(x, n)
     return g if 1 < g < n else _pollard_brent(n)
 
 
@@ -223,9 +273,9 @@ def factorize(n: int) -> Factorization:
     divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
     Once ``p * p`` exceeds the product of the trial primes left to divide
     out, that product is one prime, so it is taken next.  The loop splits
-    each cofactor ``is_prime`` does not prove, by Pollard P-1 and, when that
-    finds nothing, by rho (``_split``), and divides each one it proves out
-    of the pending cofactors to its full power.
+    each cofactor ``is_prime`` does not prove, by Pollard P-1's two stages
+    and, when they find nothing, by rho (``_split``), and divides each one it
+    proves out of the pending cofactors to its full power.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

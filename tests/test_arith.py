@@ -1,6 +1,11 @@
 """Tests for primality, factorization, totient, and powmod."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -55,6 +60,22 @@ def chernick_carmichaels(count):
 #: Primes on both sides of the trial bound: 997 is the largest trial prime
 #: and 1009 the smallest prime above it.
 NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
+TRIAL_PRIMES = tuple(sympy.primerange(2, 1009))
+#: lcm(1..1008), P-1's stage 1 exponent, and the primes its stage 2 covers
+STAGE_1_EXPONENT = math.lcm(*range(1, 1009))
+STAGE_2_PRIMES = tuple(sympy.primerange(arith._TRIAL_BOUND, arith._PM1_B2 + 1))
+
+
+def next_safe_prime(n):
+    """The least prime q > n with (q - 1) / 2 prime."""
+    q = sympy.nextprime(n)
+    while not sympy.isprime(q // 2):
+        q = sympy.nextprime(q)
+    return q
+
+
+#: Safe primes of 17 to 35 bits, each (q - 1) / 2 past P-1's stage 2 bound
+SAFE_PRIMES = tuple(next_safe_prime(2**k) for k in range(16, 35, 2))
 
 #: (powers of primes below 1000) x (0 to 3 primes above 1000, repeats allowed)
 trial_powers_times_large_primes = st.builds(
@@ -372,6 +393,56 @@ class TestFactorize:
         # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
         factors, calls = factorize_counted(1021 * 2039, ("_split", "_pollard_brent"))
         assert factors == {1021: 1, 2039: 1}
+        assert calls == {"_split": 1, "_pollard_brent": 0}
+
+    @pytest.mark.parametrize("q", [
+        33554519,  # a safe prime: 33554518 = 2 * 16777259, past B2
+        6367,  # 6366 = 2 * 3 * 1061 turns up one giant step after 1013
+    ])
+    def test_p_minus_1_stage_2_splits_without_rho(self, q):
+        # stage 1's gcd is 1 and 2026 = 2 * 1013: stage 2 finds 2027 at q = 1013
+        # and stops there
+        factors, calls = factorize_counted(2027 * q, ("_split", "_pollard_brent"))
+        assert factors == {2027: 1, q: 1}
+        assert calls == {"_split": 1, "_pollard_brent": 0}
+
+    def test_p_minus_1_stage_2_falls_back_to_rho_when_the_gcd_is_n(self):
+        # 2026 = 2 * 1013 and 6078 = 2 * 3 * 1013: both primes turn up at q = 1013
+        factors, calls = factorize_counted(2027 * 6079, ("_split", "_pollard_brent"))
+        assert factors == {2027: 1, 6079: 1}
+        assert calls == {"_split": 1, "_pollard_brent": 1}
+
+    def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
+        # stage 1 covers the primes below the trial bound, stage 2 the rest up to B2
+        D, rows = arith._PM1_D, arith._pm1_stage2_rows()
+        assert all(0 < j < D and math.gcd(j, D) == 1 for row in rows for j in row)
+        covered = sorted(k * D - j for k, row in enumerate(rows) for j in row)
+        assert covered == list(STAGE_2_PRIMES)
+
+    def test_cli_import_leaves_the_stage_2_rows_unbuilt(self):
+        src = Path(arith.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gencong.cli, gencong.arith as a; "
+             "print(a._pm1_stage2_rows.cache_info().currsize)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(STAGE_2_PRIMES),
+           st.lists(st.sampled_from(TRIAL_PRIMES), max_size=3, unique=True),
+           st.sampled_from(SAFE_PRIMES))
+    def test_p_minus_1_stage_2_finds_one_prime_past_stage_1(self, r, smooth, q):
+        # p - 1 = 2 * r * t with 2 * t dividing lcm(1..1008), so x = 2**E has
+        # order 1 or r mod p; q is a safe prime with (q - 1) / 2 past B2, so
+        # x has order (q - 1) / 2 mod q and neither stage finds q
+        p = next(p for c in itertools.count(1)
+                 if STAGE_1_EXPONENT % (2 * (t := math.prod(smooth) * c)) == 0
+                 and sympy.isprime(p := 2 * r * t + 1))
+        factors, calls = factorize_counted(p * q, ("_split", "_pollard_brent"))
+        assert factors == sympy.factorint(p * q)
         assert calls == {"_split": 1, "_pollard_brent": 0}
 
     @settings(max_examples=60, deadline=None)
