@@ -5,7 +5,8 @@ and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 ``factorize`` splits a composite past trial division by Pollard's P-1
 method, stage 1 with the trial bound as its smoothness bound and stage 2 up
-to ``_PM1_B2``, and by Pollard-Brent rho when neither finds a proper factor.
+to ``_PM1_B2``, both planned by ``_pm1_plan()`` on the first split, and by
+Pollard-Brent rho when neither finds a proper factor.
 """
 
 from __future__ import annotations
@@ -32,22 +33,12 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-def _largest_power_below(p: int, bound: int) -> int:
-    q = p
-    while q * p < bound:
-        q *= p
-    return q
-
-
 #: Trial division peels off the primes below this bound before a cofactor is
 #: split, and one gcd with their product finds the ones that divide n.
 _TRIAL_BOUND = 1009
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
-#: lcm(1 .. _TRIAL_BOUND - 1), 1,438 bits: P-1's stage 1 exponent, so a prime
-#: p is found when every prime power dividing p - 1 is below the trial bound.
-_PM1_EXPONENT = math.prod(_largest_power_below(p, _TRIAL_BOUND) for p in _TRIAL_PRIMES)
 #: P-1's stage 2 covers one more prime factor of p - 1, from _TRIAL_BOUND up to
 #: this bound, in giant steps of _PM1_D = 2*3*5*7 (48 j < _PM1_D are coprime to it).
 _PM1_B2 = 15000
@@ -126,8 +117,8 @@ def _is_extra_strong_lucas_prp(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False
     P = 3
-    while _jacobi(P * P - 4, n) != -1:
-        if math.gcd(P * P - 4, n) not in (1, n):
+    while (symbol := _jacobi(P * P - 4, n)) != -1:
+        if symbol == 0 and (P * P - 4) % n:  # 1 < gcd(P*P - 4, n) < n
             return False
         P += 1
     d, r = n + 1, 0
@@ -209,60 +200,54 @@ def _pollard_brent(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pm1_stage2_rows() -> tuple[tuple[int, ...], ...]:
-    """Row k holds each j with ``k * _PM1_D - j`` a prime in ``[_TRIAL_BOUND, _PM1_B2]``.
+def _pm1_plan() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """P-1's stage 1 exponent and stage 2 rows, built on the first split, not at import.
 
-    Every such prime q is ``k * _PM1_D - j`` for exactly one k, with
-    ``0 < j < _PM1_D`` coprime to ``_PM1_D``.  Built on first use, not at
-    import: the sieve costs about 1 ms that a run never splitting a cofactor
-    would pay for nothing.
+    The exponent is ``lcm(1 .. _TRIAL_BOUND - 1)``, 1,438 bits, so stage 1
+    finds a prime p when every prime power dividing ``p - 1`` is below the
+    trial bound.  Row k holds each j with ``k * _PM1_D - j`` a prime in
+    ``[_TRIAL_BOUND, _PM1_B2]``: every such prime q is ``k * _PM1_D - j`` for
+    exactly one k, with ``0 < j < _PM1_D`` coprime to ``_PM1_D``.
     """
     rows: list[list[int]] = [[] for _ in range(-(-_PM1_B2 // _PM1_D) + 1)]
     for q in _sieve(_PM1_B2 + 1)[len(_TRIAL_PRIMES):]:
         k = -(-q // _PM1_D)
         rows[k].append(k * _PM1_D - q)
-    return tuple(map(tuple, rows))
-
-
-def _pm1_stage_2(x: int, n: int) -> int:
-    """P-1 stage 2 from ``x = 2**_PM1_EXPONENT mod n``: a divisor of n, 1 if none found.
-
-    Baby steps are ``x**j`` for odd ``j < _PM1_D``, giant steps
-    ``X_k = x**(k * _PM1_D)``; for each prime ``q = k * _PM1_D - j`` the
-    accumulator takes ``X_k - x**j == x**j * (x**q - 1)``, so a prime p of n
-    whose ``p - 1`` is the stage-1 part times one such q divides it.  The gcd
-    is taken after each giant step and the first one above 1 is returned.
-    """
-    baby = [0] * _PM1_D
-    step, power = x * x % n, x
-    for j in range(1, _PM1_D, 2):
-        baby[j], power = power, power * step % n
-    giant = baby[_PM1_D - 1] * x % n
-    X, acc = 1, 1
-    for row in _pm1_stage2_rows():
-        for j in row:
-            acc = acc * (X - baby[j]) % n
-        g = math.gcd(acc, n)
-        if g != 1:
-            return g
-        X = X * giant % n
-    return 1
+    return math.lcm(*range(1, _TRIAL_BOUND)), tuple(map(tuple, rows))
 
 
 def _split(n: int) -> int:
     """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else rho.
 
-    P-1 (Pollard 1974) takes ``gcd(2**_PM1_EXPONENT - 1, n)``, a multiple of
-    every prime ``p | n`` whose ``p - 1`` divides the exponent.  When that gcd
-    is 1, stage 2 (Montgomery 1987) reuses the same power to find a p whose
-    ``p - 1`` is that times one prime up to ``_PM1_B2``.  When the gcd is n
-    itself (every prime of n found in one step, or a base-2 Wieferich
-    square), or stage 2 finds nothing, Brent's rho splits n instead.
+    Stage 1 (Pollard 1974) takes ``gcd(x - 1, n)`` with ``x = 2**E mod n``
+    and E the plan's exponent, a multiple of every prime ``p | n`` whose
+    ``p - 1`` divides E.  When that gcd is 1, stage 2 (Montgomery 1987) goes
+    on from x: baby steps ``x**j`` for odd ``j < _PM1_D``, giant steps
+    ``X_k = x**(k * _PM1_D)``, and for each prime ``q = k * _PM1_D - j`` of
+    row k the accumulator takes ``X_k - x**j == x**j * (x**q - 1)``, so it
+    finds a p whose ``p - 1`` is a divisor of E times one prime up to
+    ``_PM1_B2``.  Its gcd is taken after each giant step, up to the first
+    one above 1.  When a gcd is n itself (every prime of n found in one
+    step, or a base-2 Wieferich square), or stage 2 finds nothing, Brent's
+    rho splits n instead.
     """
-    x = pow(2, _PM1_EXPONENT, n)
+    exponent, rows = _pm1_plan()
+    x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
     if g == 1:
-        g = _pm1_stage_2(x, n)
+        baby = [0] * _PM1_D
+        step, power = x * x % n, x
+        for j in range(1, _PM1_D, 2):
+            baby[j], power = power, power * step % n
+        giant = baby[_PM1_D - 1] * x % n
+        X, acc = 1, 1
+        for row in rows:
+            for j in row:
+                acc = acc * (X - baby[j]) % n
+            g = math.gcd(acc, n)
+            if g != 1:
+                break
+            X = X * giant % n
     return g if 1 < g < n else _pollard_brent(n)
 
 

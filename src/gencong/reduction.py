@@ -10,6 +10,15 @@ recovering a**phi(m) == 1 (mod m).  Folding a huge exponent N down to
 s + ((N - s) mod phi(m_s)) therefore leaves the residue unchanged, which is
 what makes powers with thousand-digit exponents cheap.
 
+The chain is tight.  For a prime ``p`` with ``v_p(a) = alpha > 0`` and
+``v_p(m) = e``, each step removes ``min(alpha, rest)`` from the p-part of
+the modulus, so ``s = max ceil(e / alpha)`` over the primes of
+``gcd(a, m)``: 0 when that gcd is 1, and 1 for ``a == 0``, ``|m| > 1``.
+That is exactly the pre-period of ``k -> a**k mod |m|``, since the p-part of
+``a**k`` vanishes mod ``p**e`` exactly from ``k * alpha >= e`` on.  And
+``m_s`` is the largest divisor of ``m`` coprime to ``a``, so the exact
+period is the order of ``a`` mod ``m_s``, which divides phi(m_s).
+
 One modular power certifies a fold for a given ``a``, whatever produced the
 period ``P`` used in place of phi(m_s).  ``|m| / m_s = prod(c_i**(i+1))``
 over the chain's cofactors, and each ``c_i`` divides ``d_0``, which divides

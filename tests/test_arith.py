@@ -377,7 +377,15 @@ class TestFactorize:
         assert calls == {"is_prime": 2, "_split": 1}  # 159 and 79 one prime at a time
 
     def test_p_minus_1_exponent_is_lcm_below_trial_bound(self):
-        assert arith._PM1_EXPONENT == math.lcm(*range(1, arith._TRIAL_BOUND))
+        # lcm(1..1008) is the product of each prime's largest power below 1009
+        def largest_power_below(p, bound):
+            q = p
+            while q * p < bound:
+                q *= p
+            return q
+
+        assert arith._pm1_plan()[0] == math.prod(
+            largest_power_below(p, 1009) for p in sympy.primerange(2, 1009))
 
     @pytest.mark.parametrize("n", [
         1021 * 1031,  # 1020 and 1030 both divide the exponent: the gcd is n
@@ -414,17 +422,17 @@ class TestFactorize:
 
     def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
         # stage 1 covers the primes below the trial bound, stage 2 the rest up to B2
-        D, rows = arith._PM1_D, arith._pm1_stage2_rows()
+        D, rows = arith._PM1_D, arith._pm1_plan()[1]
         assert all(0 < j < D and math.gcd(j, D) == 1 for row in rows for j in row)
         covered = sorted(k * D - j for k, row in enumerate(rows) for j in row)
         assert covered == list(STAGE_2_PRIMES)
 
-    def test_cli_import_leaves_the_stage_2_rows_unbuilt(self):
+    def test_cli_import_leaves_the_p_minus_1_plan_unbuilt(self):
         src = Path(arith.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import gencong.cli, gencong.arith as a; "
-             "print(a._pm1_stage2_rows.cache_info().currsize)"],
+             "print(a._pm1_plan.cache_info().currsize)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 import sys
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,47 @@ from gencong.reduction import (
 
 nonzero_moduli = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda m: m != 0)
 bases = st.integers(min_value=-(10**9), max_value=10**9)
+
+
+def pre_period_and_period(r, m):
+    """Brute-force cycle detection on ``k -> r**k mod m``, from ``k = 0``."""
+    first_seen, x = {}, 1 % m
+    for k in range(m + 1):  # at most m values, so one repeats by k = m
+        if x in first_seen:
+            return first_seen[x], k - first_seen[x]
+        first_seen[x] = k
+        x = x * r % m
+    raise AssertionError("unreachable")
+
+
+def closed_form_depth(a, m):
+    """``max ceil(v_p(m) / v_p(a))`` over the primes p of ``gcd(a, m)``, by sympy."""
+    g = math.gcd(a, m)
+    if a == 0:
+        return int(g > 1)
+    m_exponents, a_exponents = sympy.factorint(abs(m)), sympy.factorint(abs(a))
+    return max((-(-m_exponents[p] // a_exponents[p]) for p in sympy.factorint(g)), default=0)
+
+
+#: Small primes, so a and m often share one, and large ones, so |m| reaches 10**40
+LEMMA_PRIMES = (2, 3, 5, 7, 11, 13, 997, 1009, 2**31 - 1, 2**61 - 1)
+
+
+def product_up_to(powers, bound=10**40):
+    """The product of the ``(p, e)`` powers, each cut to the largest that stays within ``bound``."""
+    n = 1
+    for p, e in powers:
+        while e and n * p <= bound:
+            n, e = n * p, e - 1
+    return n
+
+
+def lemma_ints(max_exponent):
+    return st.builds(product_up_to, st.lists(
+        st.tuples(st.sampled_from(LEMMA_PRIMES), st.integers(1, max_exponent)), max_size=5))
+
+
+signs = st.sampled_from((1, -1))
 
 
 class TestBuildChain:
@@ -129,6 +171,31 @@ class TestBuildChain:
         assert cofactors(build_chain(6, 105765)) == [3]
         assert cofactors(build_chain(5, 12)) == []
         assert cofactors(build_chain(2, 4)) == [1, 2]
+
+
+class TestChainIsTight:
+    def test_depth_is_the_pre_period_and_m_s_carries_the_period(self):
+        # r**k mod m depends on a only through r = a mod |m|, and the chain
+        # only through gcd(a, m), so every residue covers criterion 2's pairs
+        for m in range(1, 301):
+            divisors = sympy.divisors(m)
+            for r in range(m):
+                chain = build_chain(r, m)
+                pre_period, period = pre_period_and_period(r, m)
+                assert pre_period == chain.s, (r, m)
+                assert chain.m_s == max(d for d in divisors if math.gcd(d, r) == 1), (r, m)
+                assert period == (sympy.n_order(r, chain.m_s) if chain.m_s > 1 else 1), (r, m)
+                assert chain.phi_ms % period == 0, (r, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0), lemma_ints(4)), lemma_ints(133), signs, signs)
+    @example(0, 1, 1, 1)  # |m| == 1: s == 0
+    @example(0, 2**61 - 1, 1, 1)  # a == 0, |m| > 1: s == 1
+    @example(3**5 * 7, 2**130, -1, 1)  # coprime: s == 0
+    @example(2 * 3**2, 2**7 * 3**9 * 997, 1, -1)  # max(ceil(7/1), ceil(9/2)) == 7
+    def test_depth_is_the_closed_form(self, a, m, sign_a, sign_m):
+        a, m = sign_a * a, sign_m * m
+        assert build_chain(a, m).s == closed_form_depth(a, m)
 
 
 class TestVerifyTheorem:
