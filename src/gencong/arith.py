@@ -4,9 +4,12 @@ Everything operates on arbitrary-precision ints, is pure and deterministic,
 and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 ``factorize`` splits a composite past trial division by Pollard's P-1
-method, stage 1 with the trial bound as its smoothness bound and stage 2 up
-to ``_PM1_B2``, both planned by ``_pm1_plan()`` on the first split, and by
-Pollard-Brent rho when neither finds a proper factor.
+method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
+``kD - j`` with ``kD + j`` up to ``_PM1_B2``, both planned by ``_pm1_plan()``
+on the first split.  When a P-1 gcd is n itself, the step that found it is
+redone one prime power or one multiplication at a time, and Pollard-Brent
+rho runs only when a single one of those finds every prime of n, or when
+neither stage finds one.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ _TRIAL_BOUND = 1009
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
-#: P-1's stage 2 covers one more prime factor of p - 1, from _TRIAL_BOUND up to
-#: this bound, in giant steps of _PM1_D = 2*3*5*7 (48 j < _PM1_D are coprime to it).
+#: P-1's stage 1 finds a prime p when every prime power dividing p - 1 is below
+#: _PM1_B1.  Stage 2 allows one more prime factor of p - 1, from _PM1_B1 up to
+#: _PM1_B2, in giant steps of _PM1_D = 2*3*5*7 (24 j < _PM1_D / 2 are coprime to it).
+_PM1_B1 = 600
 _PM1_B2 = 15000
 _PM1_D = 210
 
@@ -200,20 +205,29 @@ def _pollard_brent(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pm1_plan() -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """P-1's stage 1 exponent and stage 2 rows, built on the first split, not at import.
+def _pm1_plan() -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """P-1's stage 1 exponent and prime powers and stage 2's rows, built on first use.
 
-    The exponent is ``lcm(1 .. _TRIAL_BOUND - 1)``, 1,438 bits, so stage 1
-    finds a prime p when every prime power dividing ``p - 1`` is below the
-    trial bound.  Row k holds each j with ``k * _PM1_D - j`` a prime in
-    ``[_TRIAL_BOUND, _PM1_B2]``: every such prime q is ``k * _PM1_D - j`` for
-    exactly one k, with ``0 < j < _PM1_D`` coprime to ``_PM1_D``.
+    The prime powers are each prime's largest power below ``_PM1_B1``, and
+    the exponent, 857 bits, is their product ``lcm(1 .. _PM1_B1 - 1)``.  Row
+    k holds each j for which ``k * _PM1_D - j`` or ``k * _PM1_D + j`` is a
+    prime in ``[_PM1_B1, _PM1_B2]``: every such prime q is ``k * _PM1_D ± j``
+    for exactly one k and one ``0 < j < _PM1_D / 2`` coprime to ``_PM1_D``.
     """
-    rows: list[list[int]] = [[] for _ in range(-(-_PM1_B2 // _PM1_D) + 1)]
-    for q in _sieve(_PM1_B2 + 1)[len(_TRIAL_PRIMES):]:
-        k = -(-q // _PM1_D)
-        rows[k].append(k * _PM1_D - q)
-    return math.lcm(*range(1, _TRIAL_BOUND)), tuple(map(tuple, rows))
+    primes = _sieve(_PM1_B2 + 1)
+    powers = []
+    for p in primes:
+        if p >= _PM1_B1:
+            break
+        q = p
+        while q * p < _PM1_B1:
+            q *= p
+        powers.append(q)
+    rows: list[set[int]] = [set() for _ in range((_PM1_B2 + _PM1_D // 2) // _PM1_D + 1)]
+    for q in primes[len(powers):]:
+        k = (q + _PM1_D // 2) // _PM1_D
+        rows[k].add(abs(q - k * _PM1_D))
+    return math.prod(powers), tuple(powers), tuple(tuple(sorted(row)) for row in rows)
 
 
 def _split(n: int) -> int:
@@ -222,32 +236,49 @@ def _split(n: int) -> int:
     Stage 1 (Pollard 1974) takes ``gcd(x - 1, n)`` with ``x = 2**E mod n``
     and E the plan's exponent, a multiple of every prime ``p | n`` whose
     ``p - 1`` divides E.  When that gcd is 1, stage 2 (Montgomery 1987) goes
-    on from x: baby steps ``x**j`` for odd ``j < _PM1_D``, giant steps
-    ``X_k = x**(k * _PM1_D)``, and for each prime ``q = k * _PM1_D - j`` of
-    row k the accumulator takes ``X_k - x**j == x**j * (x**q - 1)``, so it
-    finds a p whose ``p - 1`` is a divisor of E times one prime up to
+    on from x with ``V_i = x**i + x**-i`` and ``D = _PM1_D``: baby steps
+    ``V_j`` for odd ``j < D / 2``, giant steps ``W_k = V_kD`` by
+    ``W_(k+1) = W_k * V_D - W_(k-1)``, and for each j of row k the
+    accumulator takes ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.
+    So one multiplication covers both ``kD ± j``, and stage 2 finds a p
+    whose ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
     ``_PM1_B2``.  Its gcd is taken after each giant step, up to the first
-    one above 1.  When a gcd is n itself (every prime of n found in one
-    step, or a base-2 Wieferich square), or stage 2 finds nothing, Brent's
-    rho splits n instead.
+    one above 1.  When a gcd is n itself, the step is redone from where it
+    started with a gcd after each prime power of stage 1 or each
+    multiplication of the row, up to the first gcd above 1.  When that is
+    still n (every prime of n found at once, as for the square of a base-2
+    Wieferich prime), or stage 2 finds nothing, Brent's rho splits n instead.
     """
-    exponent, rows = _pm1_plan()
+    exponent, powers, rows = _pm1_plan()
     x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
-    if g == 1:
-        baby = [0] * _PM1_D
-        step, power = x * x % n, x
-        for j in range(1, _PM1_D, 2):
-            baby[j], power = power, power * step % n
-        giant = baby[_PM1_D - 1] * x % n
-        X, acc = 1, 1
+    if g == n:
+        x = 2
+        for q in powers:
+            x = pow(x, q, n)
+            if (g := math.gcd(x - 1, n)) != 1:
+                break
+    elif g == 1:
+        v1 = (x + pow(x, -1, n)) % n
+        v2 = (v1 * v1 - 2) % n
+        baby, before, v = [0] * (_PM1_D // 2 + 1), v1, v1
+        for j in range(1, _PM1_D // 2 + 1, 2):  # V_(j+2) = V_j * V_2 - V_(j-2), V_-1 = V_1
+            baby[j], before, v = v, v, (v * v2 - before) % n
+        giant = (before * before - 2) % n  # V_D = V_(D/2)**2 - 2
+        before, w, acc = giant, 2, 1  # W_-1 = V_-D = V_D and W_0 = 2
         for row in rows:
+            start = acc
             for j in row:
-                acc = acc * (X - baby[j]) % n
+                acc = acc * (w - baby[j]) % n
             g = math.gcd(acc, n)
+            if g == n:
+                for j in row:
+                    start = start * (w - baby[j]) % n
+                    if (g := math.gcd(start, n)) != 1:
+                        break
             if g != 1:
                 break
-            X = X * giant % n
+            before, w = w, (w * giant - before) % n
     return g if 1 < g < n else _pollard_brent(n)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -60,10 +61,11 @@ def chernick_carmichaels(count):
 #: Primes on both sides of the trial bound: 997 is the largest trial prime
 #: and 1009 the smallest prime above it.
 NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
-TRIAL_PRIMES = tuple(sympy.primerange(2, 1009))
-#: lcm(1..1008), P-1's stage 1 exponent, and the primes its stage 2 covers
-STAGE_1_EXPONENT = math.lcm(*range(1, 1009))
-STAGE_2_PRIMES = tuple(sympy.primerange(arith._TRIAL_BOUND, arith._PM1_B2 + 1))
+#: P-1's stage 1 exponent lcm(1 .. B1 - 1), the primes below B1, and the
+#: primes stage 2 covers
+STAGE_1_EXPONENT = math.lcm(*range(1, arith._PM1_B1))
+STAGE_1_PRIMES = tuple(sympy.primerange(2, arith._PM1_B1))
+STAGE_2_PRIMES = tuple(sympy.primerange(arith._PM1_B1, arith._PM1_B2 + 1))
 
 
 def next_safe_prime(n):
@@ -75,7 +77,20 @@ def next_safe_prime(n):
 
 
 #: Safe primes of 17 to 35 bits, each (q - 1) / 2 past P-1's stage 2 bound
-SAFE_PRIMES = tuple(next_safe_prime(2**k) for k in range(16, 35, 2))
+SAFE_PRIMES = tuple(next_safe_prime(2 * arith._PM1_B2 * 4**k) for k in range(1, 11))
+
+
+def p_minus_1_ready(p):
+    """Whether p - 1 is B1-powersmooth times at most one prime in [B1, B2], by sympy.
+
+    None when a prime below B1 divides p - 1 to a power at or past B1: stage 1
+    leaves that prime over, and stage 2 may find it in a composite kD ± j.
+    """
+    large = [(r, e) for r, e in sympy.factorint(p - 1).items() if r**e >= arith._PM1_B1]
+    if any(r < arith._PM1_B1 for r, _ in large):
+        return None
+    return not large or (len(large) == 1 and large[0][1] == 1 and large[0][0] <= arith._PM1_B2)
+
 
 #: (powers of primes below 1000) x (0 to 3 primes above 1000, repeats allowed)
 trial_powers_times_large_primes = st.builds(
@@ -376,26 +391,34 @@ class TestFactorize:
         assert factors == {1013: 80}
         assert calls == {"is_prime": 2, "_split": 1}  # 159 and 79 one prime at a time
 
-    def test_p_minus_1_exponent_is_lcm_below_trial_bound(self):
-        # lcm(1..1008) is the product of each prime's largest power below 1009
+    def test_p_minus_1_exponent_is_lcm_below_b1(self):
+        # lcm(1 .. B1 - 1) is the product of each prime's largest power below B1
         def largest_power_below(p, bound):
             q = p
             while q * p < bound:
                 q *= p
             return q
 
-        assert arith._pm1_plan()[0] == math.prod(
-            largest_power_below(p, 1009) for p in sympy.primerange(2, 1009))
+        exponent, powers, _ = arith._pm1_plan()
+        assert powers == tuple(largest_power_below(p, arith._PM1_B1) for p in STAGE_1_PRIMES)
+        assert exponent == math.prod(powers) == STAGE_1_EXPONENT
 
     @pytest.mark.parametrize("n", [
-        1021 * 1031,  # 1020 and 1030 both divide the exponent: the gcd is n
-        1093**2,  # base-2 Wieferich primes: 2**(p-1) == 1 mod p**2, so the gcd is n
-        3511**2,
+        1093**2,  # base-2 Wieferich primes: 2**(p-1) == 1 mod p**2, so the first
+        3511**2,  # prime power that brings the gcd above 1 brings it to n
     ])
     def test_p_minus_1_falls_back_to_rho_when_the_gcd_is_n(self, n):
         factors, calls = factorize_counted(n, ("_split", "_pollard_brent"))
         assert factors == sympy.factorint(n)
         assert calls == {"_split": 1, "_pollard_brent": 1}
+
+    def test_p_minus_1_separates_a_stage_1_gcd_of_n_without_rho(self):
+        # 1020 = 2**2 * 3 * 5 * 17 and 1030 = 2 * 5 * 103 both divide the
+        # exponent, so stage 1's gcd is n; redone one prime power at a time,
+        # the gcd is 1021 at 17**2
+        factors, calls = factorize_counted(1021 * 1031, ("_split", "_pollard_brent"))
+        assert factors == {1021: 1, 1031: 1}
+        assert calls == {"_split": 1, "_pollard_brent": 0}
 
     def test_p_minus_1_splits_without_rho(self):
         # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
@@ -405,27 +428,33 @@ class TestFactorize:
 
     @pytest.mark.parametrize("q", [
         33554519,  # a safe prime: 33554518 = 2 * 16777259, past B2
-        6367,  # 6366 = 2 * 3 * 1061 turns up one giant step after 1013
+        # 6366 = 2 * 3 * 1061: 1013 = 5 * 210 - 37 and 1061 = 5 * 210 + 11 share
+        # giant step 5, whose gcd is n; redone, the row finds 6367 at j = 11
+        6367,
     ])
     def test_p_minus_1_stage_2_splits_without_rho(self, q):
         # stage 1's gcd is 1 and 2026 = 2 * 1013: stage 2 finds 2027 at q = 1013
-        # and stops there
         factors, calls = factorize_counted(2027 * q, ("_split", "_pollard_brent"))
         assert factors == {2027: 1, q: 1}
         assert calls == {"_split": 1, "_pollard_brent": 0}
 
     def test_p_minus_1_stage_2_falls_back_to_rho_when_the_gcd_is_n(self):
-        # 2026 = 2 * 1013 and 6078 = 2 * 3 * 1013: both primes turn up at q = 1013
+        # 2026 = 2 * 1013 and 6078 = 2 * 3 * 1013: both primes turn up in the
+        # one multiplication for q = 1013, so the redone row's gcd is n as well
         factors, calls = factorize_counted(2027 * 6079, ("_split", "_pollard_brent"))
         assert factors == {2027: 1, 6079: 1}
         assert calls == {"_split": 1, "_pollard_brent": 1}
 
     def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
-        # stage 1 covers the primes below the trial bound, stage 2 the rest up to B2
-        D, rows = arith._PM1_D, arith._pm1_plan()[1]
-        assert all(0 < j < D and math.gcd(j, D) == 1 for row in rows for j in row)
-        covered = sorted(k * D - j for k, row in enumerate(rows) for j in row)
+        # stage 2 covers the primes in [B1, B2]: each is k * D - j or k * D + j
+        # for exactly one entry (k, j) of the plan, and no entry is without one
+        D, rows = arith._PM1_D, arith._pm1_plan()[2]
+        entries = [(k, j) for k, row in enumerate(rows) for j in row]
+        assert all(0 < j < D / 2 and math.gcd(j, D) == 1 for _, j in entries)
+        stage_2 = set(STAGE_2_PRIMES)
+        covered = sorted(q for k, j in entries for q in (k * D - j, k * D + j) if q in stage_2)
         assert covered == list(STAGE_2_PRIMES)
+        assert all(k * D - j in stage_2 or k * D + j in stage_2 for k, j in entries)
 
     def test_cli_import_leaves_the_p_minus_1_plan_unbuilt(self):
         src = Path(arith.__file__).resolve().parents[1]
@@ -440,10 +469,10 @@ class TestFactorize:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STAGE_2_PRIMES),
-           st.lists(st.sampled_from(TRIAL_PRIMES), max_size=3, unique=True),
+           st.lists(st.sampled_from(STAGE_1_PRIMES), max_size=3, unique=True),
            st.sampled_from(SAFE_PRIMES))
     def test_p_minus_1_stage_2_finds_one_prime_past_stage_1(self, r, smooth, q):
-        # p - 1 = 2 * r * t with 2 * t dividing lcm(1..1008), so x = 2**E has
+        # p - 1 = 2 * r * t with 2 * t dividing lcm(1 .. B1 - 1), so x = 2**E has
         # order 1 or r mod p; q is a safe prime with (q - 1) / 2 past B2, so
         # x has order (q - 1) / 2 mod q and neither stage finds q
         p = next(p for c in itertools.count(1)
@@ -452,6 +481,28 @@ class TestFactorize:
         factors, calls = factorize_counted(p * q, ("_split", "_pollard_brent"))
         assert factors == sympy.factorint(p * q)
         assert calls == {"_split": 1, "_pollard_brent": 0}
+
+    def test_p_minus_1_spares_rho_exactly_when_one_prime_is_ready(self):
+        # sympy's factorint of p - 1 decides readiness; P-1 finds a ready prime
+        # and no other, so rho runs only when neither prime is ready.  Pairs
+        # with both ready (one step may find both) or either undecided are skipped.
+        def random_prime(rng, bits):
+            while not sympy.isprime(p := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
+                pass
+            return p
+
+        rng = random.Random(19)
+        seen = {False: 0, True: 0}
+        while sum(seen.values()) < 100:
+            p, q = (random_prime(rng, rng.randint(20, 34)) for _ in range(2))
+            ready = p_minus_1_ready(p), p_minus_1_ready(q)
+            if p == q or None in ready or all(ready):
+                continue
+            factors, calls = factorize_counted(p * q, ("_split", "_pollard_brent"))
+            assert factors == {p: 1, q: 1}
+            assert calls == {"_split": 1, "_pollard_brent": 0 if any(ready) else 1}, (p, q)
+            seen[any(ready)] += 1
+        assert min(seen.values()) >= 20, seen
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2**19, 2**34 - 42), st.integers(2**19, 2**34 - 42))
