@@ -7,16 +7,18 @@ Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
 ``kD - j`` with ``kD + j`` up to ``_PM1_B2``, both planned by ``_pm1_plan()``
 on the first split.  When a P-1 gcd is n itself, the step that found it is
-redone one prime power or one multiplication at a time, and Pollard-Brent
-rho runs only when a single one of those finds every prime of n, or when
-neither stage finds one.
+redone one prime power or one multiplication at a time.  When P-1 finds no
+proper factor, a perfect power is split by its exact integer root, and any
+other n by Lenstra's elliptic-curve method (ECM) on Montgomery curves, with
+a stage 2 whose rows come from the same builder as P-1's, and a fixed
+schedule of bounds planned level by level by ``_ecm_plan()``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
 from typing import NamedTuple
 
 __all__ = [
@@ -48,6 +50,13 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 _PM1_B1 = 600
 _PM1_B2 = 15000
 _PM1_D = 210
+#: ECM's curve c runs at level L = c // _ECM_CURVES, with stage 1 bound
+#: B1 = _ECM_B1 * 2**L, stage 2 bound _ECM_B2 * B1, and giant step _ECM_D[L]
+#: (the last entry from level 5 on).
+_ECM_B1 = 60
+_ECM_B2 = 60
+_ECM_CURVES = 8
+_ECM_D = (90, 90, 210, 210, 210, 2310)
 
 #: is_prime is a proof below this bound and BPSW from it on, where no
 #: counterexample is known but none is proven impossible.
@@ -174,82 +183,227 @@ def is_prime(n: int) -> bool:
     return not _is_composite_witness(2, d, r, n) and _is_extra_strong_lucas_prp(n)
 
 
-def _pollard_brent(n: int) -> int:
-    """Nontrivial factor of an odd composite n via Brent's cycle variant.
+def _prime_powers(bound: int) -> tuple[int, ...]:
+    """Each prime's largest power below ``bound``, primes increasing."""
+    powers = []
+    for p in _sieve(bound):
+        q = p
+        while q * p < bound:
+            q *= p
+        powers.append(q)
+    return tuple(powers)
 
-    Deterministic: the polynomial constant c is retried in order 1, 2, ...
+
+def _stage_2_rows(b1: int, b2: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Stage 2's first giant step ``k0`` and its rows of j, for P-1 and ECM alike.
+
+    Every prime q in ``[b1, b2]`` is ``k * d - j`` or ``k * d + j`` for exactly
+    one k and one ``0 < j < d / 2`` coprime to d.  Row i holds the j of each
+    such q with ``k == k0 + i``, and ``k0`` is the least k with a q, so no
+    giant step before the first row is taken.
     """
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
+    rows: dict[int, set[int]] = {}
+    for q in _sieve(b2 + 1):
+        if q >= b1:
+            k = (q + d // 2) // d
+            rows.setdefault(k, set()).add(abs(q - k * d))
+    k0 = min(rows)
+    return k0, tuple(tuple(sorted(rows.get(k, ()))) for k in range(k0, max(rows) + 1))
+
+
+@lru_cache(maxsize=None)
+def _pm1_plan() -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """P-1's stage 1 exponent and prime powers, and stage 2's ``k0`` and rows.
+
+    The prime powers are each prime's largest power below ``_PM1_B1``, and
+    the exponent, 857 bits, is their product ``lcm(1 .. _PM1_B1 - 1)``.
+    Stage 2 covers ``[_PM1_B1, _PM1_B2]`` in giant steps of ``_PM1_D``.
+    Built on the first split, not at import.
+    """
+    powers = _prime_powers(_PM1_B1)
+    return (math.prod(powers), powers, *_stage_2_rows(_PM1_B1, _PM1_B2, _PM1_D))
+
+
+@lru_cache(maxsize=None)
+def _ecm_plan(level: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]:
+    """ECM's stage 1 prime powers, and stage 2's D, ``k0`` and rows, at ``level``.
+
+    Level L has ``B1 = _ECM_B1 * 2**L``, ``B2 = _ECM_B2 * B1`` and
+    ``D = _ECM_D[L]``.  Built the first time a curve reaches it.
+    """
+    b1 = _ECM_B1 << level
+    d = _ECM_D[min(level, len(_ECM_D) - 1)]
+    return (_prime_powers(b1), d, *_stage_2_rows(b1, _ECM_B2 * b1, d))
+
+
+def _stage_2(n: int, rows: tuple[tuple[int, ...], ...], giants: list[int], baby: list[int]) -> int:
+    """The first gcd above 1 of ``prod(giants[i] - baby[j])`` over ``j in rows[i]``, else 1.
+
+    The gcd with n is taken after each row.  When it is n, the row is redone
+    from the product it started with, one multiplication and one gcd at a
+    time, up to the first gcd above 1, which may still be n.
+    """
+    acc = 1
+    for row, w in zip(rows, giants):
+        start = acc
+        for j in row:
+            acc = acc * (w - baby[j]) % n
+        g = math.gcd(acc, n)
         if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
+            for j in row:
+                start = start * (w - baby[j]) % n
+                if (g := math.gcd(start, n)) != 1:
+                    break
+        if g != 1:
+            return g
+    return 1
+
+
+def _x_add(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
+    """``P1 + P2`` in x-only ``(X:Z)`` form on a Montgomery curve, given ``P1 - P2 = (Xd:Zd)``."""
+    u, v = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+    return Zd * (u + v) ** 2 % n, Xd * (u - v) ** 2 % n
+
+
+def _x_double(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """``2P`` in x-only ``(X:Z)`` form on the Montgomery curve with ``(A + 2) / 4 == a24``."""
+    s, t = (X + Z) ** 2, (X - Z) ** 2
+    return s * t % n, (s - t) * (t + a24 * (s - t)) % n
+
+
+def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """``[k]P`` for ``P = (X:Z)`` and ``k >= 1``, by Montgomery's ladder over k's bits.
+
+    The ladder keeps ``R1 - R0 == P``, so each step is one ``_x_add`` and
+    one ``_x_double``, written out here; the last step updates only ``R0``.
+    """
+    bits = bin(k)[3:]
+    if not bits:
+        return X, Z
+    X0, Z0 = X, Z
+    X1, Z1 = _x_double(X, Z, a24, n)
+    for bit in bits[:-1]:
+        s0, d0, s1, d1 = X0 + Z0, X0 - Z0, X1 + Z1, X1 - Z1
+        u, v = d0 * s1, s0 * d1
+        if bit == "1":
+            X0, Z0 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+            s, t = s1 * s1, d1 * d1
+            X1, Z1 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
+        else:
+            X1, Z1 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+            s, t = s0 * s0, d0 * d0
+            X0, Z0 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
+    if bits[-1] == "1":
+        return _x_add(X0, Z0, X1, Z1, X, Z, n)
+    return _x_double(X0, Z0, a24, n)
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """The gcd with n that one ECM curve finds, 1 when it finds none.
+
+    The curve is Montgomery's ``B y**2 = x**3 + A x**2 + x`` (Math. Comp. 48,
+    1987) in Suyama's parametrization, whose group order mod p is a multiple
+    of 12: with ``u = sigma**2 - 5`` and ``v = 4 sigma``, the point is
+    ``(u**3 : v**3)`` and ``(A + 2) / 4 = (v - u)**3 (3u + v) / (16 u**3 v)``.
+    Stage 1 takes one ladder per prime power of the plan and ``gcd(Z, n)``
+    after each.  Stage 2 takes the baby steps ``jQ`` and giant steps ``kDQ``
+    by differential additions, turns their x-coordinates into ``X / Z`` with
+    one inversion (Montgomery's trick), and hands them to ``_stage_2``:
+    ``x(kDQ) - x(jQ)`` is 0 mod p exactly when the order of Q mod p divides
+    ``kD - j`` or ``kD + j``.
+    """
+    powers, d, k0, rows = _ecm_plan((sigma - 6) // _ECM_CURVES)
+    u, v = sigma * sigma - 5, 4 * sigma
+    if (g := math.gcd(den := 16 * u**3 * v, n)) != 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    X, Z = u**3 % n, v**3 % n
+    for q in powers:
+        X, Z = _ladder(q, X, Z, a24, n)
+        if (g := math.gcd(Z, n)) != 1:
+            return g
+    X2, Z2 = _x_double(X, Z, a24, n)
+    s2, d2 = X2 + Z2, X2 - Z2  # the steps below write out _x_add: as calls, ECM took 6% longer
+    bx, bz = [X, 0], [Z, 0]  # (2i + 1)Q at index i
+    bx[1], bz[1] = _x_add(X2, Z2, X, Z, X, Z, n)
+    for i in range(2, d // 4 + 1):  # (2i + 1)Q = (2i - 1)Q + 2Q, with difference (2i - 3)Q
+        e, f = (bx[i - 1] - bz[i - 1]) * s2, (bx[i - 1] + bz[i - 1]) * d2
+        bx.append(bz[i - 2] * (e + f) ** 2 % n)
+        bz.append(bx[i - 2] * (e - f) ** 2 % n)
+    XD, ZD = _x_double(bx[-1], bz[-1], a24, n)  # D / 2 is odd, so DQ = 2 (D/2)Q
+    sD, dD = XD + ZD, XD - ZD
+    X0, Z0 = _ladder(k0, XD, ZD, a24, n)
+    X1, Z1 = _ladder(k0 + 1, XD, ZD, a24, n)
+    gx, gz = [X0, X1], [Z0, Z1]
+    for _ in range(len(rows) - 2):  # (k + 1)DQ = kDQ + DQ, with difference (k - 1)DQ
+        e, f = (X1 - Z1) * sD, (X1 + Z1) * dD
+        X0, Z0, X1, Z1 = X1, Z1, Z0 * (e + f) ** 2 % n, X0 * (e - f) ** 2 % n
+        gx.append(X1)
+        gz.append(Z1)
+    babies = [j for j in range(1, d // 2, 2) if math.gcd(j, d) == 1]
+    xs = [bx[j // 2] for j in babies] + gx[:len(rows)]
+    zs = [bz[j // 2] for j in babies] + gz[:len(rows)]
+    prods = list(accumulate(zs, lambda a, b: a * b % n))
+    if (g := math.gcd(prods[-1], n)) != 1:
+        return g
+    inv = pow(prods[-1], -1, n)  # 1 / prods[i], then 1 / prods[i - 1] = zs[i] / prods[i]
+    for i in range(len(zs) - 1, 0, -1):
+        xs[i] = xs[i] * inv * prods[i - 1] % n
+        inv = inv * zs[i] % n
+    xs[0] = xs[0] * inv % n
+    baby = [0] * (d // 2)
+    for j, x in zip(babies, xs):
+        baby[j] = x
+    return _stage_2(n, rows, xs[len(babies):], baby)
+
+
+def _ecm(n: int) -> int:
+    """Nontrivial factor of an odd composite n that is no perfect power, by ECM.
+
+    Lenstra's elliptic-curve method (Ann. Math. 126, 1987) tries the curves
+    ``sigma = 6, 7, 8, ...`` of ``_ecm_curve`` in turn, curve c at level
+    ``c // _ECM_CURVES`` of ``_ecm_plan``, up to the first that finds a
+    proper factor.  A curve whose gcd is n found every prime of n at once
+    and is dropped.  Modulo a prime power nearly every curve's gcd is n,
+    which is why ``_split`` takes out perfect powers first.
+    """
+    for sigma in count(6):
+        if 1 < (g := _ecm_curve(n, sigma)) < n:
             return g
     raise AssertionError("unreachable")
 
 
-@lru_cache(maxsize=None)
-def _pm1_plan() -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """P-1's stage 1 exponent and prime powers and stage 2's rows, built on first use.
-
-    The prime powers are each prime's largest power below ``_PM1_B1``, and
-    the exponent, 857 bits, is their product ``lcm(1 .. _PM1_B1 - 1)``.  Row
-    k holds each j for which ``k * _PM1_D - j`` or ``k * _PM1_D + j`` is a
-    prime in ``[_PM1_B1, _PM1_B2]``: every such prime q is ``k * _PM1_D ± j``
-    for exactly one k and one ``0 < j < _PM1_D / 2`` coprime to ``_PM1_D``.
-    """
-    primes = _sieve(_PM1_B2 + 1)
-    powers = []
-    for p in primes:
-        if p >= _PM1_B1:
-            break
-        q = p
-        while q * p < _PM1_B1:
-            q *= p
-        powers.append(q)
-    rows: list[set[int]] = [set() for _ in range((_PM1_B2 + _PM1_D // 2) // _PM1_D + 1)]
-    for q in primes[len(powers):]:
-        k = (q + _PM1_D // 2) // _PM1_D
-        rows[k].add(abs(q - k * _PM1_D))
-    return math.prod(powers), tuple(powers), tuple(tuple(sorted(row)) for row in rows)
+def _iroot(n: int, k: int) -> int:
+    """``floor(n ** (1/k))`` for ``n >= 1`` in integers: ``math.isqrt``, else Newton's method."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # above the root; Newton's steps fall to it
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _split(n: int) -> int:
-    """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else rho.
+    """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else ECM.
 
     Stage 1 (Pollard 1974) takes ``gcd(x - 1, n)`` with ``x = 2**E mod n``
     and E the plan's exponent, a multiple of every prime ``p | n`` whose
     ``p - 1`` divides E.  When that gcd is 1, stage 2 (Montgomery 1987) goes
     on from x with ``V_i = x**i + x**-i`` and ``D = _PM1_D``: baby steps
     ``V_j`` for odd ``j < D / 2``, giant steps ``W_k = V_kD`` by
-    ``W_(k+1) = W_k * V_D - W_(k-1)``, and for each j of row k the
-    accumulator takes ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.
-    So one multiplication covers both ``kD ± j``, and stage 2 finds a p
-    whose ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
-    ``_PM1_B2``.  Its gcd is taken after each giant step, up to the first
-    one above 1.  When a gcd is n itself, the step is redone from where it
-    started with a gcd after each prime power of stage 1 or each
-    multiplication of the row, up to the first gcd above 1.  When that is
-    still n (every prime of n found at once, as for the square of a base-2
-    Wieferich prime), or stage 2 finds nothing, Brent's rho splits n instead.
+    ``W_(k+1) = W_k * V_D - W_(k-1)`` from the plan's ``k0`` on, and for each
+    j of row k ``_stage_2`` takes
+    ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.  So one
+    multiplication covers both ``kD ± j``, and stage 2 finds a p whose
+    ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
+    ``_PM1_B2``.  When stage 1's gcd is n itself, stage 1 is redone one prime
+    power at a time, up to the first gcd above 1.  When that is still n
+    (every prime of n found at once, as for the square of a base-2 Wieferich
+    prime), or stage 2 finds nothing, n is split by its exact k-th root if it
+    is a perfect power (every prime k with ``1009**k <= n``, since n's primes
+    are past the trial bound), and by ``_ecm`` otherwise.
     """
-    exponent, powers, rows = _pm1_plan()
+    exponent, powers, k0, rows = _pm1_plan()
     x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
     if g == n:
@@ -265,21 +419,20 @@ def _split(n: int) -> int:
         for j in range(1, _PM1_D // 2 + 1, 2):  # V_(j+2) = V_j * V_2 - V_(j-2), V_-1 = V_1
             baby[j], before, v = v, v, (v * v2 - before) % n
         giant = (before * before - 2) % n  # V_D = V_(D/2)**2 - 2
-        before, w, acc = giant, 2, 1  # W_-1 = V_-D = V_D and W_0 = 2
-        for row in rows:
-            start = acc
-            for j in row:
-                acc = acc * (w - baby[j]) % n
-            g = math.gcd(acc, n)
-            if g == n:
-                for j in row:
-                    start = start * (w - baby[j]) % n
-                    if (g := math.gcd(start, n)) != 1:
-                        break
-            if g != 1:
-                break
+        before, w, giants = giant, 2, []  # W_-1 = V_-D = V_D and W_0 = 2
+        for k in range(k0 + len(rows)):  # the rows need W_k from k0 on
+            if k >= k0:
+                giants.append(w)
             before, w = w, (w * giant - before) % n
-    return g if 1 < g < n else _pollard_brent(n)
+        g = _stage_2(n, rows, giants, baby)
+    if 1 < g < n:
+        return g
+    for k in _TRIAL_PRIMES:
+        if _TRIAL_BOUND**k > n:
+            break
+        if (r := _iroot(n, k)) ** k == n:
+            return r
+    return _ecm(n)
 
 
 def factorize(n: int) -> Factorization:
@@ -290,8 +443,8 @@ def factorize(n: int) -> Factorization:
     Once ``p * p`` exceeds the product of the trial primes left to divide
     out, that product is one prime, so it is taken next.  The loop splits
     each cofactor ``is_prime`` does not prove, by Pollard P-1's two stages
-    and, when they find nothing, by rho (``_split``), and divides each one it
-    proves out of the pending cofactors to its full power.
+    and, when they find nothing, by an exact root or ECM (``_split``), and
+    divides each one it proves out of the pending cofactors to its full power.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

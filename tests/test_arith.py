@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -104,23 +105,49 @@ trial_powers_times_large_primes = st.builds(
 
 def factorize_counted(n, names=("is_prime", "_split")):
     """``factorize(n)``'s factors as a dict, and its calls to each of ``names`` in arith."""
+    factors, calls = call_counted(factorize, n, names)
+    return dict(factors.factors), calls
+
+
+def call_counted(function, n, names):
+    """``function(n)``, and its calls to each of ``names`` in arith."""
     calls = dict.fromkeys(names, 0)
     real = {name: getattr(arith, name) for name in calls}
 
     def counted(name):
-        def wrapper(m):
+        def wrapper(*args):
             calls[name] += 1
-            return real[name](m)
+            return real[name](*args)
         return wrapper
 
     for name in calls:
         setattr(arith, name, counted(name))
     try:
-        factors = dict(factorize(n).factors)
+        result = function(n)
     finally:
-        for name, function in real.items():
-            setattr(arith, name, function)
-    return factors, calls
+        for name, original in real.items():
+            setattr(arith, name, original)
+    return result, calls
+
+
+def largest_power_below(p, bound):
+    q = p
+    while q * p < bound:
+        q *= p
+    return q
+
+
+def assert_rows_cover_each_prime_once(b1, b2, D, k0, rows):
+    """Stage 2's rows cover [b1, b2]: each prime there is k * D - j or k * D + j
+    for exactly one entry (k, j), and no entry is without one.  Row i is giant
+    step k0 + i, and the first row is not empty."""
+    assert rows[0]
+    entries = [(k0 + i, j) for i, row in enumerate(rows) for j in row]
+    assert all(0 < j < D / 2 and math.gcd(j, D) == 1 for _, j in entries)
+    primes = set(sympy.primerange(b1, b2 + 1))
+    covered = sorted(q for k, j in entries for q in (k * D - j, k * D + j) if q in primes)
+    assert covered == sorted(primes)
+    assert all(k * D - j in primes or k * D + j in primes for k, j in entries)
 
 
 def plain_trial_cofactor(n):
@@ -393,13 +420,7 @@ class TestFactorize:
 
     def test_p_minus_1_exponent_is_lcm_below_b1(self):
         # lcm(1 .. B1 - 1) is the product of each prime's largest power below B1
-        def largest_power_below(p, bound):
-            q = p
-            while q * p < bound:
-                q *= p
-            return q
-
-        exponent, powers, _ = arith._pm1_plan()
+        exponent, powers, *_ = arith._pm1_plan()
         assert powers == tuple(largest_power_below(p, arith._PM1_B1) for p in STAGE_1_PRIMES)
         assert exponent == math.prod(powers) == STAGE_1_EXPONENT
 
@@ -407,24 +428,25 @@ class TestFactorize:
         1093**2,  # base-2 Wieferich primes: 2**(p-1) == 1 mod p**2, so the first
         3511**2,  # prime power that brings the gcd above 1 brings it to n
     ])
-    def test_p_minus_1_falls_back_to_rho_when_the_gcd_is_n(self, n):
-        factors, calls = factorize_counted(n, ("_split", "_pollard_brent"))
+    def test_p_minus_1_gcd_of_n_on_a_prime_square_splits_by_its_root(self, n):
+        # ECM's gcd is n on nearly every curve modulo a prime power, so the root comes first
+        factors, calls = factorize_counted(n, ("_split", "_ecm"))
         assert factors == sympy.factorint(n)
-        assert calls == {"_split": 1, "_pollard_brent": 1}
+        assert calls == {"_split": 1, "_ecm": 0}
 
     def test_p_minus_1_separates_a_stage_1_gcd_of_n_without_rho(self):
         # 1020 = 2**2 * 3 * 5 * 17 and 1030 = 2 * 5 * 103 both divide the
         # exponent, so stage 1's gcd is n; redone one prime power at a time,
         # the gcd is 1021 at 17**2
-        factors, calls = factorize_counted(1021 * 1031, ("_split", "_pollard_brent"))
+        factors, calls = factorize_counted(1021 * 1031, ("_split", "_ecm"))
         assert factors == {1021: 1, 1031: 1}
-        assert calls == {"_split": 1, "_pollard_brent": 0}
+        assert calls == {"_split": 1, "_ecm": 0}
 
     def test_p_minus_1_splits_without_rho(self):
         # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
-        factors, calls = factorize_counted(1021 * 2039, ("_split", "_pollard_brent"))
+        factors, calls = factorize_counted(1021 * 2039, ("_split", "_ecm"))
         assert factors == {1021: 1, 2039: 1}
-        assert calls == {"_split": 1, "_pollard_brent": 0}
+        assert calls == {"_split": 1, "_ecm": 0}
 
     @pytest.mark.parametrize("q", [
         33554519,  # a safe prime: 33554518 = 2 * 16777259, past B2
@@ -434,38 +456,39 @@ class TestFactorize:
     ])
     def test_p_minus_1_stage_2_splits_without_rho(self, q):
         # stage 1's gcd is 1 and 2026 = 2 * 1013: stage 2 finds 2027 at q = 1013
-        factors, calls = factorize_counted(2027 * q, ("_split", "_pollard_brent"))
+        factors, calls = factorize_counted(2027 * q, ("_split", "_ecm"))
         assert factors == {2027: 1, q: 1}
-        assert calls == {"_split": 1, "_pollard_brent": 0}
+        assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_stage_2_falls_back_to_rho_when_the_gcd_is_n(self):
+    def test_p_minus_1_stage_2_falls_back_to_ecm_when_the_gcd_is_n(self):
         # 2026 = 2 * 1013 and 6078 = 2 * 3 * 1013: both primes turn up in the
         # one multiplication for q = 1013, so the redone row's gcd is n as well
-        factors, calls = factorize_counted(2027 * 6079, ("_split", "_pollard_brent"))
+        factors, calls = factorize_counted(2027 * 6079, ("_split", "_ecm"))
         assert factors == {2027: 1, 6079: 1}
-        assert calls == {"_split": 1, "_pollard_brent": 1}
+        assert calls == {"_split": 1, "_ecm": 1}
 
     def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
-        # stage 2 covers the primes in [B1, B2]: each is k * D - j or k * D + j
-        # for exactly one entry (k, j) of the plan, and no entry is without one
-        D, rows = arith._PM1_D, arith._pm1_plan()[2]
-        entries = [(k, j) for k, row in enumerate(rows) for j in row]
-        assert all(0 < j < D / 2 and math.gcd(j, D) == 1 for _, j in entries)
-        stage_2 = set(STAGE_2_PRIMES)
-        covered = sorted(q for k, j in entries for q in (k * D - j, k * D + j) if q in stage_2)
-        assert covered == list(STAGE_2_PRIMES)
-        assert all(k * D - j in stage_2 or k * D + j in stage_2 for k, j in entries)
+        k0, rows = arith._pm1_plan()[2:]
+        assert_rows_cover_each_prime_once(arith._PM1_B1, arith._PM1_B2, arith._PM1_D, k0, rows)
+
+    @pytest.mark.parametrize("level, b1, D", [(0, 60, 90), (1, 120, 90), (2, 240, 210),
+                                              (5, 1920, 2310)])
+    def test_ecm_plan_covers_each_prime_past_stage_1_once(self, level, b1, D):
+        powers, d, k0, rows = arith._ecm_plan(level)
+        assert powers == tuple(largest_power_below(p, b1) for p in sympy.primerange(2, b1))
+        assert d == D
+        assert_rows_cover_each_prime_once(b1, 60 * b1, D, k0, rows)
 
     def test_cli_import_leaves_the_p_minus_1_plan_unbuilt(self):
         src = Path(arith.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import gencong.cli, gencong.arith as a; "
-             "print(a._pm1_plan.cache_info().currsize)"],
+             "print(a._pm1_plan.cache_info().currsize, a._ecm_plan.cache_info().currsize)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        assert proc.stdout.split() == ["0", "0"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STAGE_2_PRIMES),
@@ -478,13 +501,13 @@ class TestFactorize:
         p = next(p for c in itertools.count(1)
                  if STAGE_1_EXPONENT % (2 * (t := math.prod(smooth) * c)) == 0
                  and sympy.isprime(p := 2 * r * t + 1))
-        factors, calls = factorize_counted(p * q, ("_split", "_pollard_brent"))
+        factors, calls = factorize_counted(p * q, ("_split", "_ecm"))
         assert factors == sympy.factorint(p * q)
-        assert calls == {"_split": 1, "_pollard_brent": 0}
+        assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_spares_rho_exactly_when_one_prime_is_ready(self):
+    def test_p_minus_1_spares_ecm_exactly_when_one_prime_is_ready(self):
         # sympy's factorint of p - 1 decides readiness; P-1 finds a ready prime
-        # and no other, so rho runs only when neither prime is ready.  Pairs
+        # and no other, so ECM runs only when neither prime is ready.  Pairs
         # with both ready (one step may find both) or either undecided are skipped.
         def random_prime(rng, bits):
             while not sympy.isprime(p := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
@@ -498,19 +521,144 @@ class TestFactorize:
             ready = p_minus_1_ready(p), p_minus_1_ready(q)
             if p == q or None in ready or all(ready):
                 continue
-            factors, calls = factorize_counted(p * q, ("_split", "_pollard_brent"))
+            factors, calls = factorize_counted(p * q, ("_split", "_ecm"))
             assert factors == {p: 1, q: 1}
-            assert calls == {"_split": 1, "_pollard_brent": 0 if any(ready) else 1}, (p, q)
+            assert calls == {"_split": 1, "_ecm": 0 if any(ready) else 1}, (p, q)
             seen[any(ready)] += 1
         assert min(seen.values()) >= 20, seen
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2**19, 2**34 - 42), st.integers(2**19, 2**34 - 42))
     def test_product_of_two_20_to_34_bit_primes_matches_sympy(self, a, b):
-        # factor-hard's shape; P-1 splits some of these, rho the rest.
+        # factor-hard's shape; P-1 splits some of these, ECM the rest.
         # 2**34 - 41 is the largest 34-bit prime, so nextprime stays in range
         n = sympy.nextprime(a) * sympy.nextprime(b)
         assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+#: Primes of 11 to 48 bits, all past the trial bound
+primes_11_to_48_bits = st.integers(10, 47).flatmap(
+    lambda b: st.integers(2**b, 2**(b + 1) - 1)).map(sympy.nextprime)
+
+
+def affine_multiple(k, point, A, B, p):
+    """``[k]point`` on ``B y**2 = x**3 + A x**2 + x`` over F_p by affine double-and-add.
+
+    None is the point at infinity.
+    """
+    def add(P, Q):
+        if P is None or Q is None:
+            return P if Q is None else Q
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return None
+        if x1 == x2:
+            slope = (3 * x1 * x1 + 2 * A * x1 + 1) * pow(2 * B * y1, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (B * slope * slope - A - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1) % p
+
+    result = None
+    for bit in bin(k)[2:]:
+        result = add(result, result)
+        if bit == "1":
+            result = add(result, point)
+    return result
+
+
+class TestEcm:
+    @pytest.mark.parametrize("scale", [1, 5])
+    def test_ladder_matches_affine_double_and_add(self, scale):
+        # (7, 1) lies on B y**2 = x**3 + 5 x**2 + x with B = 7**3 + 5 * 7**2 + 7;
+        # the ladder takes the point as (7 * scale : scale)
+        p, A, x0 = 1000003, 5, 7
+        B = (x0**3 + A * x0**2 + x0) % p
+        assert B * (A * A - 4) % p
+        a24 = (A + 2) * pow(4, -1, p) % p
+        for k in range(1, 501):
+            expected = affine_multiple(k, (x0, 1), A, B, p)
+            X, Z = arith._ladder(k, x0 * scale, scale, a24, p)
+            if expected is None:
+                assert Z % p == 0, k
+            else:
+                assert Z % p and X * pow(Z, -1, p) % p == expected[0], k
+
+    def test_each_stage_finds_exactly_the_primes_whose_point_order_it_covers(self):
+        # Suyama's point Q for sigma = 6 has order o mod p, found here without
+        # arith: #E = p + 1 + (B/p) * sum of (f(x)/p) over x, then o is #E with
+        # each prime taken out that still leaves a multiple of Q at infinity.
+        # Stage 1's point has order o' = o / gcd(o, lcm(1 .. B1 - 1)).  Run
+        # modulo p itself, the curve finds p when o' == 1 (stage 1) or o' is a
+        # prime in [B1, B2] (stage 2), and finds nothing when a prime factor
+        # of o' is past B2 + D.  Other p are skipped.  o' = 3907 for 46691.
+        sigma, b1, b2, d = 6, 60, 3600, 90
+        stage_1 = math.lcm(*range(1, b1))
+
+        def reduced_order(p):
+            u, v = sigma * sigma - 5, 4 * sigma
+            A = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+            x0 = u**3 * pow(v**3, -1, p) % p
+            B = (x0**3 + A * x0**2 + x0) % p  # so (x0, 1) lies on B y**2 = f(x)
+            assert B and (A * A - 4) % p
+            squares = {x * x % p for x in range(1, p)}
+            chi = [0] + [1 if x in squares else -1 for x in range(1, p)]  # Legendre symbols
+            order = p + 1 + chi[B] * sum(chi[(x**3 + A * x * x + x) % p] for x in range(p))
+            for r in sympy.primefactors(order):
+                while order % r == 0 and affine_multiple(order // r, (x0, 1), A, B, p) is None:
+                    order //= r
+            return order // math.gcd(order, stage_1)
+
+        seen = Counter()
+        for p in tuple(sympy.primerange(1009, 16000))[::16] + (46691,):
+            o = reduced_order(p)
+            if o == 1 or (sympy.isprime(o) and b1 <= o <= b2):
+                kind, expected = ("stage 1" if o == 1 else "stage 2"), p
+            elif max(sympy.primefactors(o)) > b2 + d:
+                kind, expected = "neither", 1
+            else:
+                continue
+            assert arith._ecm_curve(p, sigma) == expected, (p, o)
+            seen[kind] += 1
+        assert seen["stage 1"] >= 10 and seen["stage 2"] >= 20 and seen["neither"] >= 1, seen
+
+    def test_every_product_of_two_primes_in_1009_1400_splits_within_4_curves(self):
+        # from B1 = 120 on, one ladder over all of stage 1 would find both
+        # primes on most curves; a gcd per prime power and the row redo keep
+        # them apart
+        primes = tuple(sympy.primerange(1009, 1400))
+        for p, q in itertools.combinations(primes, 2):
+            g, calls = call_counted(arith._ecm, p * q, ("_ecm_curve",))
+            assert g in (p, q)
+            assert calls["_ecm_curve"] <= 4, (p, q, calls)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 13])
+    def test_integer_root_is_exact_past_float_range(self, k):
+        for r in (1009, 2**64 + 13, 3**700 + 2):
+            assert arith._iroot(r**k, k) == r
+            assert arith._iroot(r**k - 1, k) == r - 1
+            assert arith._iroot(r**k + 1, k) == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.tuples(primes_11_to_48_bits, st.integers(2, 4)).map(lambda t: [t[0]] * t[1]),
+        st.tuples(primes_11_to_48_bits, st.integers(2, 3), primes_11_to_48_bits).map(
+            lambda t: [t[0]] * t[1] + [t[2]]),
+        st.lists(primes_11_to_48_bits, min_size=3, max_size=3),
+    ))
+    @example([1093] * 3)
+    @example([1093, 1093, 2027])
+    def test_prime_powers_and_products_of_three_primes(self, primes):
+        # the primes sympy drew are the answer; sympy.factorint would take
+        # several times as long as factorize to find them again
+        assert dict(factorize(math.prod(primes)).factors) == Counter(primes)
+
+    def test_product_of_two_56_bit_primes(self):
+        # neither P-1 stage finds either prime; ECM takes 49 curves, up to level 6
+        p, q = 39107566017797881, 67083317485586657
+        factors, calls = factorize_counted(p * q, ("_split", "_ecm"))
+        assert factors == {p: 1, q: 1}
+        assert calls == {"_split": 1, "_ecm": 1}
 
 
 class TestTotient:
