@@ -5,20 +5,22 @@ and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 ``factorize`` splits a composite past trial division by Pollard's P-1
 method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
-``kD - j`` with ``kD + j`` up to ``_PM1_B2``, both planned by ``_pm1_plan()``
-on the first split.  When a P-1 gcd is n itself, the step that found it is
-redone one prime power or one multiplication at a time.  When P-1 finds no
-proper factor, a perfect power is split by its exact integer root, and any
-other n by Lenstra's elliptic-curve method (ECM) on Montgomery curves, with
-a stage 2 whose rows come from the same builder as P-1's, and a fixed
-schedule of bounds planned level by level by ``_ecm_plan()``.
+``kD - j`` with ``kD + j`` up to ``_PM1_B2``.  When a P-1 gcd is n itself,
+the step that found it is redone one prime power or one multiplication at a
+time.  When P-1 finds no proper factor, a perfect power is split by its
+exact integer root, and any other n by Lenstra's elliptic-curve method (ECM)
+on Montgomery curves, with a fixed schedule of bounds.  ``_pm1_plan()`` and
+each level's ``_ecm_plan()`` are built on first use and kept; their stage-2
+rows come from one builder and take one byte per ``kD ± j``.  ``totient``
+keeps its 512 most recent values.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, compress, count
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -29,19 +31,20 @@ __all__ = [
     "totient",
 ]
 
-def _sieve(limit: int) -> tuple[int, ...]:
+def _sieve(limit: int) -> bytearray:
+    """One flag per ``i < limit``: 1 when i is prime, else 0."""
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit - 1) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+            flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+    return flags
 
 
 #: Trial division peels off the primes below this bound before a cofactor is
 #: split, and one gcd with their product finds the ones that divide n.
 _TRIAL_BOUND = 1009
-_TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(compress(count(), _sieve(_TRIAL_BOUND)))
 _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = math.prod(_TRIAL_PRIMES)
 #: P-1's stage 1 finds a prime p when every prime power dividing p - 1 is below
@@ -186,7 +189,7 @@ def is_prime(n: int) -> bool:
 def _prime_powers(bound: int) -> tuple[int, ...]:
     """Each prime's largest power below ``bound``, primes increasing."""
     powers = []
-    for p in _sieve(bound):
+    for p in compress(count(), _sieve(bound)):
         q = p
         while q * p < bound:
             q *= p
@@ -194,26 +197,32 @@ def _prime_powers(bound: int) -> tuple[int, ...]:
     return tuple(powers)
 
 
-def _stage_2_rows(b1: int, b2: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Stage 2's first giant step ``k0`` and its rows of j, for P-1 and ECM alike.
+def _stage_2_rows(b1: int, b2: int, d: int) -> tuple[tuple[int, ...], int, tuple[bytes, ...]]:
+    """Stage 2's baby offsets, first giant step ``k0`` and rows, for P-1 and ECM alike.
 
-    Every prime q in ``[b1, b2]`` is ``k * d - j`` or ``k * d + j`` for exactly
-    one k and one ``0 < j < d / 2`` coprime to d.  Row i holds the j of each
-    such q with ``k == k0 + i``, and ``k0`` is the least k with a q, so no
-    giant step before the first row is taken.
+    The offsets are the ``0 < j < d / 2`` coprime to d, increasing (240 for
+    d = 2310).  With b1 past d's primes, each prime q in ``[b1, b2]`` is
+    ``k * d ± j`` for exactly one k and offset j.  Row i holds, one byte each
+    and increasing, the positions of the j with a prime ``(k0 + i) * d ± j``,
+    read off the sieve's flags within ``d / 2`` of ``(k0 + i) * d``.  ``k0`` is
+    the least k with a q, so no giant step before the first row is taken.
     """
-    rows: dict[int, set[int]] = {}
-    for q in _sieve(b2 + 1):
-        if q >= b1:
-            k = (q + d // 2) // d
-            rows.setdefault(k, set()).add(abs(q - k * d))
-    k0 = min(rows)
-    return k0, tuple(tuple(sorted(rows.get(k, ()))) for k in range(k0, max(rows) + 1))
+    h = d // 2
+    babies = tuple(j for j in range(1, h, 2) if math.gcd(j, d) == 1)
+    at_babies = itemgetter(*babies)
+    flags = _sieve(b2 + h + 1)
+    flags[:b1], flags[b2 + 1 :] = bytes(b1), bytes(h)
+    k0, rows = (flags.index(1) + h) // d, []
+    for c in range(k0 * d, flags.rindex(1) + h + 1, d):
+        below, above = flags[c - h + 1 : c + 1], flags[c : c + h]  # flag j is c - j, c + j
+        either = int.from_bytes(below, "big") | int.from_bytes(above, "little")
+        rows.append(bytes(compress(count(), at_babies(either.to_bytes(h, "little")))))
+    return babies, k0, tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _pm1_plan() -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-    """P-1's stage 1 exponent and prime powers, and stage 2's ``k0`` and rows.
+def _pm1_plan() -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[bytes, ...]]:
+    """P-1's stage 1 exponent and prime powers, and stage 2's offsets, ``k0`` and rows.
 
     The prime powers are each prime's largest power below ``_PM1_B1``, and
     the exponent, 857 bits, is their product ``lcm(1 .. _PM1_B1 - 1)``.
@@ -225,8 +234,8 @@ def _pm1_plan() -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=None)
-def _ecm_plan(level: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]:
-    """ECM's stage 1 prime powers, and stage 2's D, ``k0`` and rows, at ``level``.
+def _ecm_plan(level: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int, tuple[bytes, ...]]:
+    """ECM's stage 1 prime powers, and stage 2's D, offsets, ``k0`` and rows, at ``level``.
 
     Level L has ``B1 = _ECM_B1 * 2**L``, ``B2 = _ECM_B2 * B1`` and
     ``D = _ECM_D[L]``.  Built the first time a curve reaches it.
@@ -236,12 +245,12 @@ def _ecm_plan(level: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, .
     return (_prime_powers(b1), d, *_stage_2_rows(b1, _ECM_B2 * b1, d))
 
 
-def _stage_2(n: int, rows: tuple[tuple[int, ...], ...], giants: list[int], baby: list[int]) -> int:
+def _stage_2(n: int, rows: tuple[bytes, ...], giants: list[int], baby: list[int]) -> int:
     """The first gcd above 1 of ``prod(giants[i] - baby[j])`` over ``j in rows[i]``, else 1.
 
-    The gcd with n is taken after each row.  When it is n, the row is redone
-    from the product it started with, one multiplication and one gcd at a
-    time, up to the first gcd above 1, which may still be n.
+    ``baby[j]`` is for the plan's j-th baby offset.  After each row the gcd
+    with n is taken; when it is n, the row is redone from the product it began
+    with, one product and gcd at a time, to the first gcd above 1 (maybe n).
     """
     acc = 1
     for row, w in zip(rows, giants):
@@ -312,7 +321,7 @@ def _ecm_curve(n: int, sigma: int) -> int:
     ``x(kDQ) - x(jQ)`` is 0 mod p exactly when the order of Q mod p divides
     ``kD - j`` or ``kD + j``.
     """
-    powers, d, k0, rows = _ecm_plan((sigma - 6) // _ECM_CURVES)
+    powers, d, babies, k0, rows = _ecm_plan((sigma - 6) // _ECM_CURVES)
     u, v = sigma * sigma - 5, 4 * sigma
     if (g := math.gcd(den := 16 * u**3 * v, n)) != 1:
         return g
@@ -340,21 +349,16 @@ def _ecm_curve(n: int, sigma: int) -> int:
         X0, Z0, X1, Z1 = X1, Z1, Z0 * (e + f) ** 2 % n, X0 * (e - f) ** 2 % n
         gx.append(X1)
         gz.append(Z1)
-    babies = [j for j in range(1, d // 2, 2) if math.gcd(j, d) == 1]
     xs = [bx[j // 2] for j in babies] + gx[:len(rows)]
     zs = [bz[j // 2] for j in babies] + gz[:len(rows)]
-    prods = list(accumulate(zs, lambda a, b: a * b % n))
+    prods = [1, *accumulate(zs, lambda a, b: a * b % n)]  # prods[i] = prod(zs[:i]) mod n
     if (g := math.gcd(prods[-1], n)) != 1:
         return g
-    inv = pow(prods[-1], -1, n)  # 1 / prods[i], then 1 / prods[i - 1] = zs[i] / prods[i]
-    for i in range(len(zs) - 1, 0, -1):
-        xs[i] = xs[i] * inv * prods[i - 1] % n
+    inv = pow(prods[-1], -1, n)  # 1 / prods[i + 1], then 1 / prods[i] = zs[i] / prods[i + 1]
+    for i in range(len(zs) - 1, -1, -1):
+        xs[i] = xs[i] * inv * prods[i] % n
         inv = inv * zs[i] % n
-    xs[0] = xs[0] * inv % n
-    baby = [0] * (d // 2)
-    for j, x in zip(babies, xs):
-        baby[j] = x
-    return _stage_2(n, rows, xs[len(babies):], baby)
+    return _stage_2(n, rows, xs[len(babies):], xs)  # xs[i] is x(jQ) for the i-th offset j
 
 
 def _ecm(n: int) -> int:
@@ -367,10 +371,7 @@ def _ecm(n: int) -> int:
     and is dropped.  Modulo a prime power nearly every curve's gcd is n,
     which is why ``_split`` takes out perfect powers first.
     """
-    for sigma in count(6):
-        if 1 < (g := _ecm_curve(n, sigma)) < n:
-            return g
-    raise AssertionError("unreachable")
+    return next(g for sigma in count(6) if 1 < (g := _ecm_curve(n, sigma)) < n)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -403,7 +404,7 @@ def _split(n: int) -> int:
     is a perfect power (every prime k with ``1009**k <= n``, since n's primes
     are past the trial bound), and by ``_ecm`` otherwise.
     """
-    exponent, powers, k0, rows = _pm1_plan()
+    exponent, powers, babies, k0, rows = _pm1_plan()
     x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
     if g == n:
@@ -420,11 +421,10 @@ def _split(n: int) -> int:
             baby[j], before, v = v, v, (v * v2 - before) % n
         giant = (before * before - 2) % n  # V_D = V_(D/2)**2 - 2
         before, w, giants = giant, 2, []  # W_-1 = V_-D = V_D and W_0 = 2
-        for k in range(k0 + len(rows)):  # the rows need W_k from k0 on
-            if k >= k0:
-                giants.append(w)
+        for _ in range(k0 + len(rows)):  # the rows need W_k from k0 on
+            giants.append(w)
             before, w = w, (w * giant - before) % n
-        g = _stage_2(n, rows, giants, baby)
+        g = _stage_2(n, rows, giants[k0:], [baby[j] for j in babies])
     if 1 < g < n:
         return g
     for k in _TRIAL_PRIMES:
@@ -479,7 +479,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(original, tuple(sorted(exponents.items())))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=512)
 def totient(n: int) -> int:
     """Euler's totient of ``n >= 1``, cached: ``factorize(n).phi``."""
     if n < 1:

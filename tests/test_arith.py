@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from sympy.ntheory.primetest import is_extra_strong_lucas_prp
 
 from gencong import arith
 from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
+from gencong.reduction import verify_sweep
 
 
 def naive_mod_pow(base, exp, m):
@@ -137,13 +139,14 @@ def largest_power_below(p, bound):
     return q
 
 
-def assert_rows_cover_each_prime_once(b1, b2, D, k0, rows):
+def assert_rows_cover_each_prime_once(b1, b2, D, babies, k0, rows):
     """Stage 2's rows cover [b1, b2]: each prime there is k * D - j or k * D + j
     for exactly one entry (k, j), and no entry is without one.  Row i is giant
-    step k0 + i, and the first row is not empty."""
-    assert rows[0]
-    entries = [(k0 + i, j) for i, row in enumerate(rows) for j in row]
-    assert all(0 < j < D / 2 and math.gcd(j, D) == 1 for _, j in entries)
+    step k0 + i, holds one byte per entry, a position in ``babies``, which are
+    the j < D / 2 coprime to D, and the first row is not empty."""
+    assert babies == tuple(j for j in range(1, D // 2) if math.gcd(j, D) == 1)
+    assert all(isinstance(row, bytes) for row in rows) and rows[0]
+    entries = [(k0 + i, babies[pos]) for i, row in enumerate(rows) for pos in row]
     primes = set(sympy.primerange(b1, b2 + 1))
     covered = sorted(q for k, j in entries for q in (k * D - j, k * D + j) if q in primes)
     assert covered == sorted(primes)
@@ -395,7 +398,7 @@ class TestFactorize:
 
     @settings(max_examples=200, deadline=None)
     @given(trial_powers_times_large_primes)
-    def test_cofactor_loop_tests_each_node_once_and_runs_rho_once_per_composite(self, n):
+    def test_cofactor_loop_tests_each_node_once_and_splits_each_composite_once(self, n):
         # the split tree of a cofactor of omega distinct primes has omega
         # leaves and omega - 1 splits: each of its 2 * omega - 1 nodes is
         # tested once and each inner node split once.  A repeated prime is
@@ -434,7 +437,7 @@ class TestFactorize:
         assert factors == sympy.factorint(n)
         assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_separates_a_stage_1_gcd_of_n_without_rho(self):
+    def test_p_minus_1_separates_a_stage_1_gcd_of_n_without_ecm(self):
         # 1020 = 2**2 * 3 * 5 * 17 and 1030 = 2 * 5 * 103 both divide the
         # exponent, so stage 1's gcd is n; redone one prime power at a time,
         # the gcd is 1021 at 17**2
@@ -442,7 +445,7 @@ class TestFactorize:
         assert factors == {1021: 1, 1031: 1}
         assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_splits_without_rho(self):
+    def test_p_minus_1_splits_without_ecm(self):
         # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
         factors, calls = factorize_counted(1021 * 2039, ("_split", "_ecm"))
         assert factors == {1021: 1, 2039: 1}
@@ -454,7 +457,7 @@ class TestFactorize:
         # giant step 5, whose gcd is n; redone, the row finds 6367 at j = 11
         6367,
     ])
-    def test_p_minus_1_stage_2_splits_without_rho(self, q):
+    def test_p_minus_1_stage_2_splits_without_ecm(self, q):
         # stage 1's gcd is 1 and 2026 = 2 * 1013: stage 2 finds 2027 at q = 1013
         factors, calls = factorize_counted(2027 * q, ("_split", "_ecm"))
         assert factors == {2027: 1, q: 1}
@@ -468,16 +471,33 @@ class TestFactorize:
         assert calls == {"_split": 1, "_ecm": 1}
 
     def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
-        k0, rows = arith._pm1_plan()[2:]
-        assert_rows_cover_each_prime_once(arith._PM1_B1, arith._PM1_B2, arith._PM1_D, k0, rows)
+        babies, k0, rows = arith._pm1_plan()[2:]
+        assert len(babies) == 24
+        assert_rows_cover_each_prime_once(arith._PM1_B1, arith._PM1_B2, arith._PM1_D,
+                                          babies, k0, rows)
 
     @pytest.mark.parametrize("level, b1, D", [(0, 60, 90), (1, 120, 90), (2, 240, 210),
                                               (5, 1920, 2310)])
     def test_ecm_plan_covers_each_prime_past_stage_1_once(self, level, b1, D):
-        powers, d, k0, rows = arith._ecm_plan(level)
+        powers, d, babies, k0, rows = arith._ecm_plan(level)
         assert powers == tuple(largest_power_below(p, b1) for p in sympy.primerange(2, b1))
         assert d == D
-        assert_rows_cover_each_prime_once(b1, 60 * b1, D, k0, rows)
+        assert_rows_cover_each_prime_once(b1, 60 * b1, D, babies, k0, rows)
+
+    def test_level_8_ecm_plan_build_stays_within_its_memory_bounds(self):
+        # level 8's rows cover the 71,054 primes in [15,360, 921,600]; as
+        # tuples of ints they kept 1.9 MiB, and their build peaked at 7.1 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            plan = arith._ecm_plan.__wrapped__(8)  # built afresh, not from the cache
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert plan[1] == 2310 and len(plan[2]) == 240
+        assert kept < 0.25 * 2**20
+        assert peak < 2.5 * 2**20
 
     def test_cli_import_leaves_the_p_minus_1_plan_unbuilt(self):
         src = Path(arith.__file__).resolve().parents[1]
@@ -688,6 +708,15 @@ class TestTotient:
     def test_multiplicative_on_coprime_pairs(self, a, b):
         if math.gcd(a, b) == 1:
             assert totient(a * b) == totient(a) * totient(b)
+
+    def test_cache_covers_every_modulus_a_sweep_reuses(self):
+        # the sweep's 90,300 pairs reduce to 300 distinct m_s; each misses
+        # the cache once, and a second pass over the same sweep misses none
+        totient.cache_clear()
+        assert verify_sweep(range(-150, 151), range(1, 301)) == (90300, [])
+        assert totient.cache_info().misses == 300
+        verify_sweep(range(-150, 151), range(1, 301))
+        assert totient.cache_info().misses == 300
 
 
 class TestModPow:
