@@ -75,6 +75,11 @@ _PSI_BOUNDS = (
     (318665857834031151167461, 12), (_PSI_13, 13),
 )
 
+#: Builds a record from its fields in order, as ``tuple.__new__(Cls, fields)``,
+#: without the Python-level ``__new__`` that ``typing.NamedTuple`` generates,
+#: which costs about twice as much.  The instance is the same as ``Cls(*fields)``.
+_new_record = tuple.__new__
+
 
 class Factorization(NamedTuple):
     """Prime factorization ``n == prod(p**e)``, primes strictly increasing.
@@ -476,7 +481,7 @@ def factorize(n: int) -> Factorization:
             if r > 1:
                 rest.append(r)
         exponents[q], pending = k, rest
-    return Factorization(original, tuple(sorted(exponents.items())))
+    return _new_record(Factorization, (original, tuple(sorted(exponents.items()))))
 
 
 @lru_cache(maxsize=512)

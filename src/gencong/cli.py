@@ -20,12 +20,20 @@ per ``(m, gcd(a, m))`` class and evaluates both sides once per distinct
 residue ``a mod |m|`` in each block of bases; a failing pair's witness is
 its own chain, and under ``--json`` it is the ``reduce`` JSON object plus
 ``lhs``/``rhs``.
+
+Records are f-strings laid out exactly as ``json.dumps`` would lay them
+out.  ``_chain_json`` is the one serializer of a chain: ``reduce --json``
+prints it as is, and ``_pow_json`` (a ``pow --json`` object or a batch
+line) and ``_witness_json`` (a ``verify`` witness) hand it their extra
+members as one pre-formatted tail.  The ``json`` module is imported only
+where it is used: for a batch error record, and by the ``totient`` and
+``selftest`` handlers for their ``--json`` output.  So importing the CLI
+does not load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Iterable
@@ -34,6 +42,7 @@ from .arith import Factorization, factorize, totient
 from .reduction import (
     CertificateError,
     ReductionChain,
+    TheoremCheck,
     build_chain,
     mod_pow,  # noqa: F401  re-exported; bench/test_bench.py traces cli.mod_pow
     reduced_pow,
@@ -114,17 +123,28 @@ def _chain_lines(chain: ReductionChain) -> list[str]:
     return lines + _summary_lines(chain)
 
 
-def _chain_json(chain: ReductionChain, **fields: int) -> str:
-    """The ``reduce --json`` object, then each of ``fields`` as a decimal string.
+def _chain_json(chain: ReductionChain, tail: str = "") -> str:
+    """The ``reduce --json`` object, with ``tail`` inserted before its closing brace.
 
-    Laid out exactly as ``json.dumps`` would; every value is an integer, so
-    nothing needs escaping.
+    ``tail`` is pre-formatted members, each ``, "key": "value"``, as
+    :func:`_pow_json` and :func:`_witness_json` write them.  Laid out exactly
+    as ``json.dumps`` would; every value is an integer, so nothing needs
+    escaping.
     """
     a, _, m_norm, steps, s, m_s, phi_ms, _ = chain
     rows = ", ".join([f'{{"i": {i}, "d": "{d}", "m_rem": "{m_rem}"}}' for i, d, m_rem in steps])
-    extra = "".join([f', "{key}": "{value}"' for key, value in fields.items()])
     return (f'{{"a": "{a}", "m": "{m_norm}", "steps": [{rows}], '
-            f'"s": {s}, "m_s": "{m_s}", "phi_m_s": "{phi_ms}"{extra}}}')
+            f'"s": {s}, "m_s": "{m_s}", "phi_m_s": "{phi_ms}"{tail}}}')
+
+
+def _pow_json(chain: ReductionChain, reduced: int, residue: int) -> str:
+    """The ``pow --json`` object and a batch line: the chain, the folded exponent, the residue."""
+    return _chain_json(chain, f', "reduced_exponent": "{reduced}", "residue": "{residue}"')
+
+
+def _witness_json(check: TheoremCheck) -> str:
+    """A ``verify --json`` witness: the failing pair's chain and both sides."""
+    return _chain_json(check.chain, f', "lhs": "{check.lhs}", "rhs": "{check.rhs}"')
 
 
 def _factorization_payload(f: Factorization) -> dict:
@@ -192,7 +212,7 @@ def cmd_pow(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "pow expects operands: a N m (or none to read them from stdin)")
     chain, reduced, residue = _solve_pow(args.operands)
     return _emit(
-        args, lambda: _chain_json(chain, reduced_exponent=reduced, residue=residue), lambda: [
+        args, lambda: _pow_json(chain, reduced, residue), lambda: [
             *(_chain_lines(chain) if args.trace else _summary_lines(chain)),
             f"reduced_exponent = {reduced}", f"residue = {residue}",
             *([_congruence_line(chain, args.operands[1], reduced)] if args.trace else []),
@@ -216,8 +236,9 @@ def _pow_batch() -> int:
             if len(fields) != 3:
                 raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
             chain, reduced, residue = _solve_pow(fields)
-            record = _chain_json(chain, reduced_exponent=reduced, residue=residue)
+            record = _pow_json(chain, reduced, residue)
         except (CliError, ValueError, CertificateError) as err:
+            import json  # only an error record needs it (module docstring)
             code = _exit_code(err)
             worst = max(worst, code)
             record = json.dumps({"line": line_no, "error": str(err), "code": code})
@@ -229,6 +250,7 @@ def cmd_totient(args: argparse.Namespace) -> int:
     if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
     n = _parse_int(args.operands[0], "n")
+    import json
     return _emit(args, lambda: json.dumps(_factorization_payload(factorize(n))),
                  lambda: [str(totient(n))])
 
@@ -252,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked, failures = verify_sweep(a_range, m_range)
     return _emit(args, lambda: (
         f'{{"checked": {checked}, "failures": {len(failures)}, "witnesses": ['
-        + ", ".join(_chain_json(c.chain, lhs=c.lhs, rhs=c.rhs) for c in failures) + "]}"
+        + ", ".join(map(_witness_json, failures)) + "]}"
     ), lambda: [
         *(line for c in failures for line in (
             f"FAIL a={c.chain.a_input} m={c.chain.m_input}: lhs={c.lhs} rhs={c.rhs}",
@@ -293,6 +315,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
     passed = len(results) - len(failed)
+    import json
     return _emit(args, lambda: json.dumps({
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "passed": passed,

@@ -50,7 +50,7 @@ from collections.abc import Sequence
 from math import gcd
 from typing import NamedTuple
 
-from .arith import _PRIMORIAL, _PSI_13, mod_pow, totient
+from .arith import _PRIMORIAL, _PSI_13, _new_record, mod_pow, totient
 
 __all__ = [
     "CertificateError",
@@ -145,10 +145,10 @@ def build_chain(a: int, m: int) -> ReductionChain:
     while True:
         d = gcd(current_a, current_m)
         current_m //= d
-        steps.append(ReductionStep(i, d, current_m))
+        steps.append(_new_record(ReductionStep, (i, d, current_m)))
         if d == 1:
-            return ReductionChain(a, m, m_norm, tuple(steps), i, current_m,
-                                  totient(current_m), a // steps[0].d)
+            return _new_record(ReductionChain, (a, m, m_norm, tuple(steps), i, current_m,
+                                                totient(current_m), a // steps[0].d))
         current_a, i = d, i + 1
 
 

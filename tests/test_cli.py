@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -597,14 +599,15 @@ def shared_power_operands(primes, exponents_a, exponents_m):
 
 
 class TestChainJsonLayout:
-    """``_chain_json`` writes what ``json.dumps`` would, byte for byte."""
+    """``_chain_json`` and the records built on it write what ``json.dumps`` would, byte for byte."""
 
     def assert_layouts(self, a, exponent, m, lhs, rhs):
         chain, reduced, residue = solve(a, exponent, m)
         assert cli._chain_json(chain) == dumped_chain(chain)
-        assert (cli._chain_json(chain, reduced_exponent=reduced, residue=residue)
+        assert (cli._pow_json(chain, reduced, residue)
                 == dumped_chain(chain, reduced_exponent=reduced, residue=residue))
-        assert cli._chain_json(chain, lhs=lhs, rhs=rhs) == dumped_chain(chain, lhs=lhs, rhs=rhs)
+        assert (cli._witness_json(TheoremCheck(ok=False, lhs=lhs, rhs=rhs, chain=chain))
+                == dumped_chain(chain, lhs=lhs, rhs=rhs))
 
     @settings(max_examples=300, deadline=None)
     @given(shared_power_operands((2, 3, 5, 7, 997), st.integers(0, 6), st.integers(0, 60)),
@@ -628,6 +631,17 @@ class TestChainJsonLayout:
 
 
 class TestModuleEntryPoint:
+    def test_import_leaves_json_unloaded(self):
+        # records are f-strings; only error records and the totient and
+        # selftest JSON import json, so a plain batch never pays for it
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gencong.cli; print('json' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gencong", "pow", "6", "25604", "105765"],

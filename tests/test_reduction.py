@@ -14,6 +14,7 @@ from gencong.arith import Factorization, factorize, mod_pow, totient
 from gencong.reduction import (
     CHUNK_DIGITS,
     CertificateError,
+    ReductionChain,
     ReductionStep,
     TheoremCheck,
     build_chain,
@@ -258,6 +259,33 @@ class TestRecords:
         assert hash(build_chain(12, 18)) == hash(build_chain(12, 18))
         assert hash(ReductionStep(0, 3, 35255)) == hash(ReductionStep(index=0, d=3, m_rem=35255))
         assert hash(Factorization(64, ((2, 6),))) == hash(factorize(64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases, nonzero_moduli, st.integers(min_value=1, max_value=10**15))
+    @example(6, 105765, 105765)
+    @example(-12, 18, 1)
+    def test_records_equal_their_keyword_built_twins(self, a, m, n):
+        # build_chain and factorize fill records by position with tuple.__new__;
+        # twins built by keyword from independent values pin each field's place
+        chain, factors = build_chain(a, m), factorize(n)
+        steps, current_a, current_m = [], a, abs(m)
+        while not steps or steps[-1].d != 1:
+            d = math.gcd(current_a, current_m)
+            current_a, current_m = d, current_m // d
+            steps.append(ReductionStep(index=len(steps), d=d, m_rem=current_m))
+        twin = ReductionChain(a_input=a, m_input=m, m_norm=abs(m), steps=tuple(steps),
+                              s=len(steps) - 1, m_s=current_m,
+                              phi_ms=int(sympy.totient(current_m)), a0=a // steps[0].d)
+        assert (chain, factors) == (twin, Factorization(
+            n=n, factors=tuple(sorted(sympy.factorint(n).items()))))
+        assert type(chain) is ReductionChain and type(factors) is Factorization
+        assert {type(step) for step in chain.steps} == {ReductionStep}
+        for record in (chain, *chain.steps, factors):
+            assert type(record)(**record._asdict()) == record
+            for name in record._fields:
+                changed = record._replace(**{name: -1})
+                assert type(changed) is type(record) and getattr(changed, name) == -1
+                assert changed._replace(**{name: getattr(record, name)}) == record
 
     def test_factorization_phi(self):
         assert Factorization(n=1, factors=()).phi == 1
