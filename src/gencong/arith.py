@@ -9,10 +9,10 @@ method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
 the step that found it is redone one prime power or one multiplication at a
 time.  When P-1 finds no proper factor, a perfect power is split by its
 exact integer root, and any other n by Lenstra's elliptic-curve method (ECM)
-on Montgomery curves, with a fixed schedule of bounds.  ``_pm1_plan()`` and
-each level's ``_ecm_plan()`` are built on first use and kept; their stage-2
-rows come from one builder and take one byte per ``kD ± j``.  ``totient``
-keeps its 512 most recent values.
+on Montgomery curves, with a fixed schedule of bounds.  P-1's plan and each
+ECM level's come from one builder, ``_plan(B1, B2, D)``, on first use and are
+kept; their stage-2 rows take one byte per ``kD ± j``.  ``totient`` keeps its
+512 most recent values.
 """
 
 from __future__ import annotations
@@ -191,63 +191,37 @@ def is_prime(n: int) -> bool:
     return not _is_composite_witness(2, d, r, n) and _is_extra_strong_lucas_prp(n)
 
 
-def _prime_powers(bound: int) -> tuple[int, ...]:
-    """Each prime's largest power below ``bound``, primes increasing."""
-    powers = []
-    for p in compress(count(), _sieve(bound)):
-        q = p
-        while q * p < bound:
-            q *= p
-        powers.append(q)
-    return tuple(powers)
+@lru_cache(maxsize=None)
+def _plan(b1: int, b2: int, d: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[bytes, ...]]:
+    """Stage 1's exponent and prime powers, and stage 2's offsets, ``k0`` and rows.
 
-
-def _stage_2_rows(b1: int, b2: int, d: int) -> tuple[tuple[int, ...], int, tuple[bytes, ...]]:
-    """Stage 2's baby offsets, first giant step ``k0`` and rows, for P-1 and ECM alike.
-
-    The offsets are the ``0 < j < d / 2`` coprime to d, increasing (240 for
-    d = 2310).  With b1 past d's primes, each prime q in ``[b1, b2]`` is
-    ``k * d ± j`` for exactly one k and offset j.  Row i holds, one byte each
-    and increasing, the positions of the j with a prime ``(k0 + i) * d ± j``,
-    read off the sieve's flags within ``d / 2`` of ``(k0 + i) * d``.  ``k0`` is
-    the least k with a q, so no giant step before the first row is taken.
+    P-1 and every ECM level take their plan from here, each on first use.
+    Stage 1's prime powers are each prime's largest power below b1, increasing,
+    and the exponent is their product ``lcm(1 .. b1 - 1)``.  Stage 2's offsets
+    are the ``0 < j < d / 2`` coprime to d, increasing (240 for d = 2310).
+    With b1 past d's primes, each prime q in ``[b1, b2]`` is ``k * d ± j``
+    for exactly one k and offset j.  Row i holds, one byte each and
+    increasing, the positions of the j with a prime ``(k0 + i) * d ± j``, read
+    off the sieve's flags within ``d / 2`` of ``(k0 + i) * d``.  ``k0`` is the
+    least k with a q, so no giant step before the first row is taken.
     """
     h = d // 2
+    flags = _sieve(b2 + h + 1)
+    powers = []
+    for p in compress(range(b1), flags):
+        q = p
+        while q * p < b1:
+            q *= p
+        powers.append(q)
     babies = tuple(j for j in range(1, h, 2) if math.gcd(j, d) == 1)
     at_babies = itemgetter(*babies)
-    flags = _sieve(b2 + h + 1)
     flags[:b1], flags[b2 + 1 :] = bytes(b1), bytes(h)
     k0, rows = (flags.index(1) + h) // d, []
     for c in range(k0 * d, flags.rindex(1) + h + 1, d):
         below, above = flags[c - h + 1 : c + 1], flags[c : c + h]  # flag j is c - j, c + j
         either = int.from_bytes(below, "big") | int.from_bytes(above, "little")
         rows.append(bytes(compress(count(), at_babies(either.to_bytes(h, "little")))))
-    return babies, k0, tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _pm1_plan() -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[bytes, ...]]:
-    """P-1's stage 1 exponent and prime powers, and stage 2's offsets, ``k0`` and rows.
-
-    The prime powers are each prime's largest power below ``_PM1_B1``, and
-    the exponent, 857 bits, is their product ``lcm(1 .. _PM1_B1 - 1)``.
-    Stage 2 covers ``[_PM1_B1, _PM1_B2]`` in giant steps of ``_PM1_D``.
-    Built on the first split, not at import.
-    """
-    powers = _prime_powers(_PM1_B1)
-    return (math.prod(powers), powers, *_stage_2_rows(_PM1_B1, _PM1_B2, _PM1_D))
-
-
-@lru_cache(maxsize=None)
-def _ecm_plan(level: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int, tuple[bytes, ...]]:
-    """ECM's stage 1 prime powers, and stage 2's D, offsets, ``k0`` and rows, at ``level``.
-
-    Level L has ``B1 = _ECM_B1 * 2**L``, ``B2 = _ECM_B2 * B1`` and
-    ``D = _ECM_D[L]``.  Built the first time a curve reaches it.
-    """
-    b1 = _ECM_B1 << level
-    d = _ECM_D[min(level, len(_ECM_D) - 1)]
-    return (_prime_powers(b1), d, *_stage_2_rows(b1, _ECM_B2 * b1, d))
+    return math.prod(powers), tuple(powers), babies, k0, tuple(rows)
 
 
 def _stage_2(n: int, rows: tuple[bytes, ...], giants: list[int], baby: list[int]) -> int:
@@ -319,14 +293,17 @@ def _ecm_curve(n: int, sigma: int) -> int:
     1987) in Suyama's parametrization, whose group order mod p is a multiple
     of 12: with ``u = sigma**2 - 5`` and ``v = 4 sigma``, the point is
     ``(u**3 : v**3)`` and ``(A + 2) / 4 = (v - u)**3 (3u + v) / (16 u**3 v)``.
-    Stage 1 takes one ladder per prime power of the plan and ``gcd(Z, n)``
-    after each.  Stage 2 takes the baby steps ``jQ`` and giant steps ``kDQ``
-    by differential additions, turns their x-coordinates into ``X / Z`` with
-    one inversion (Montgomery's trick), and hands them to ``_stage_2``:
-    ``x(kDQ) - x(jQ)`` is 0 mod p exactly when the order of Q mod p divides
-    ``kD - j`` or ``kD + j``.
+    The curve's level, ``(sigma - 6) // _ECM_CURVES``, sets the bounds of its
+    ``_plan``.  Stage 1 takes one ladder per prime power of the plan and
+    ``gcd(Z, n)`` after each.  Stage 2 takes the baby steps ``jQ`` and giant
+    steps ``kDQ`` by differential additions, turns their x-coordinates into
+    ``X / Z`` with one inversion (Montgomery's trick), and hands them to
+    ``_stage_2``: ``x(kDQ) - x(jQ)`` is 0 mod p exactly when the order of Q
+    mod p divides ``kD - j`` or ``kD + j``.
     """
-    powers, d, babies, k0, rows = _ecm_plan((sigma - 6) // _ECM_CURVES)
+    level = (sigma - 6) // _ECM_CURVES
+    b1, d = _ECM_B1 << level, _ECM_D[min(level, len(_ECM_D) - 1)]
+    _, powers, babies, k0, rows = _plan(b1, _ECM_B2 * b1, d)
     u, v = sigma * sigma - 5, 4 * sigma
     if (g := math.gcd(den := 16 * u**3 * v, n)) != 1:
         return g
@@ -370,8 +347,8 @@ def _ecm(n: int) -> int:
     """Nontrivial factor of an odd composite n that is no perfect power, by ECM.
 
     Lenstra's elliptic-curve method (Ann. Math. 126, 1987) tries the curves
-    ``sigma = 6, 7, 8, ...`` of ``_ecm_curve`` in turn, curve c at level
-    ``c // _ECM_CURVES`` of ``_ecm_plan``, up to the first that finds a
+    ``sigma = 6, 7, 8, ...`` of ``_ecm_curve`` in turn, curve c on the
+    ``_plan`` of level ``c // _ECM_CURVES``, up to the first that finds a
     proper factor.  A curve whose gcd is n found every prime of n at once
     and is dropped.  Modulo a prime power nearly every curve's gcd is n,
     which is why ``_split`` takes out perfect powers first.
@@ -393,12 +370,12 @@ def _split(n: int) -> int:
     """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else ECM.
 
     Stage 1 (Pollard 1974) takes ``gcd(x - 1, n)`` with ``x = 2**E mod n``
-    and E the plan's exponent, a multiple of every prime ``p | n`` whose
-    ``p - 1`` divides E.  When that gcd is 1, stage 2 (Montgomery 1987) goes
-    on from x with ``V_i = x**i + x**-i`` and ``D = _PM1_D``: baby steps
-    ``V_j`` for odd ``j < D / 2``, giant steps ``W_k = V_kD`` by
-    ``W_(k+1) = W_k * V_D - W_(k-1)`` from the plan's ``k0`` on, and for each
-    j of row k ``_stage_2`` takes
+    and E the exponent of P-1's ``_plan``, a multiple of every prime
+    ``p | n`` whose ``p - 1`` divides E.  When that gcd is 1, stage 2
+    (Montgomery 1987) goes on from x with ``V_i = x**i + x**-i`` and
+    ``D = _PM1_D``: baby steps ``V_j`` for odd ``j < D / 2``, giant steps
+    ``W_k = V_kD`` by ``W_(k+1) = W_k * V_D - W_(k-1)`` from the plan's
+    ``k0`` on, and for each j of row k ``_stage_2`` takes
     ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.  So one
     multiplication covers both ``kD ± j``, and stage 2 finds a p whose
     ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
@@ -409,7 +386,7 @@ def _split(n: int) -> int:
     is a perfect power (every prime k with ``1009**k <= n``, since n's primes
     are past the trial bound), and by ``_ecm`` otherwise.
     """
-    exponent, powers, babies, k0, rows = _pm1_plan()
+    exponent, powers, babies, k0, rows = _plan(_PM1_B1, _PM1_B2, _PM1_D)
     x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
     if g == n:

@@ -423,7 +423,7 @@ class TestFactorize:
 
     def test_p_minus_1_exponent_is_lcm_below_b1(self):
         # lcm(1 .. B1 - 1) is the product of each prime's largest power below B1
-        exponent, powers, *_ = arith._pm1_plan()
+        exponent, powers, *_ = arith._plan(arith._PM1_B1, arith._PM1_B2, arith._PM1_D)
         assert powers == tuple(largest_power_below(p, arith._PM1_B1) for p in STAGE_1_PRIMES)
         assert exponent == math.prod(powers) == STAGE_1_EXPONENT
 
@@ -470,19 +470,34 @@ class TestFactorize:
         assert factors == {2027: 1, 6079: 1}
         assert calls == {"_split": 1, "_ecm": 1}
 
-    def test_p_minus_1_stage_2_rows_cover_each_prime_past_stage_1_once(self):
-        babies, k0, rows = arith._pm1_plan()[2:]
-        assert len(babies) == 24
-        assert_rows_cover_each_prime_once(arith._PM1_B1, arith._PM1_B2, arith._PM1_D,
-                                          babies, k0, rows)
+    @pytest.mark.parametrize("b1, b2, D, offsets", [
+        pytest.param(600, 15000, 210, 24, id="p_minus_1"),
+        # ECM's levels, with ids level-B1-D
+        pytest.param(60, 3600, 90, 12, id="0-60-90"),
+        pytest.param(120, 7200, 90, 12, id="1-120-90"),
+        pytest.param(240, 14400, 210, 24, id="2-240-210"),
+        pytest.param(1920, 115200, 2310, 240, id="5-1920-2310"),
+    ])
+    def test_ecm_plan_covers_each_prime_past_stage_1_once(self, b1, b2, D, offsets):
+        exponent, powers, babies, k0, rows = arith._plan(b1, b2, D)
+        assert powers == tuple(largest_power_below(p, b1) for p in sympy.primerange(2, b1))
+        assert exponent == math.lcm(*range(1, b1))
+        assert len(babies) == offsets
+        assert_rows_cover_each_prime_once(b1, b2, D, babies, k0, rows)
 
     @pytest.mark.parametrize("level, b1, D", [(0, 60, 90), (1, 120, 90), (2, 240, 210),
-                                              (5, 1920, 2310)])
-    def test_ecm_plan_covers_each_prime_past_stage_1_once(self, level, b1, D):
-        powers, d, babies, k0, rows = arith._ecm_plan(level)
-        assert powers == tuple(largest_power_below(p, b1) for p in sympy.primerange(2, b1))
-        assert d == D
-        assert_rows_cover_each_prime_once(b1, 60 * b1, D, babies, k0, rows)
+                                              (4, 960, 210), (5, 1920, 2310), (9, 30720, 2310)])
+    def test_ecm_curve_takes_the_plan_of_its_level(self, monkeypatch, level, b1, D):
+        class Asked(Exception):
+            pass
+
+        def plan(*bounds):
+            raise Asked(*bounds)  # stops the curve before any arithmetic
+
+        monkeypatch.setattr(arith, "_plan", plan)
+        with pytest.raises(Asked) as asked:
+            arith._ecm_curve(1019 * 1021, 6 + arith._ECM_CURVES * level)
+        assert asked.value.args == (b1, 60 * b1, D)
 
     def test_level_8_ecm_plan_build_stays_within_its_memory_bounds(self):
         # level 8's rows cover the 71,054 primes in [15,360, 921,600]; as
@@ -491,11 +506,11 @@ class TestFactorize:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            plan = arith._ecm_plan.__wrapped__(8)  # built afresh, not from the cache
+            plan = arith._plan.__wrapped__(15360, 921600, 2310)  # built afresh, not from the cache
             kept, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert plan[1] == 2310 and len(plan[2]) == 240
+        assert len(plan[2]) == 240
         assert kept < 0.25 * 2**20
         assert peak < 2.5 * 2**20
 
@@ -504,11 +519,11 @@ class TestFactorize:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import gencong.cli, gencong.arith as a; "
-             "print(a._pm1_plan.cache_info().currsize, a._ecm_plan.cache_info().currsize)"],
+             "print(a._plan.cache_info().currsize)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STAGE_2_PRIMES),
