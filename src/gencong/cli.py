@@ -14,7 +14,10 @@ picks text or JSON (batch mode streams JSON lines itself, with an error
 record for each line it cannot answer).  Powers go through
 ``reduction.solve``, as in the library, with ``N`` passed as its digit
 string so it is folded in linear time and never converted to an int; the
-library's check of that string is the one scan of its digits.
+library's check of that string is the one scan of its digits.  A batch line
+longer than ``CHUNK_DIGITS`` characters finds ``N`` between its first and
+last fields (``_batch_fields``), so splitting it does not scan ``N`` either;
+only a failed line is split whole, to report a wrong field count.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
 per ``(m, gcd(a, m))`` class and evaluates both sides once per distinct
 residue ``a mod |m|`` in each block of bases; a failing pair's witness is
@@ -40,6 +43,7 @@ from typing import Callable, Iterable
 
 from .arith import Factorization, factorize, totient
 from .reduction import (
+    CHUNK_DIGITS,
     CertificateError,
     ReductionChain,
     TheoremCheck,
@@ -187,6 +191,10 @@ def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
     quadratic ``int()``.  That check is the one scan of its digits: ``N`` is
     scanned here only once something has failed, so that a bad ``N`` is
     still reported before a bad ``m`` or a domain error, in operand order.
+    On a long batch line ``N`` is everything between the first and last
+    fields (``_batch_fields``), so whitespace inside it means the line had
+    four or more fields; that always fails here, and ``_pow_batch`` then
+    reports the field count instead.
     """
     a_text, n_text, m_text = fields
     a = _parse_int(a_text, "a")
@@ -219,6 +227,21 @@ def cmd_pow(args: argparse.Namespace) -> int:
         ])
 
 
+def _batch_fields(raw: str) -> list[str]:
+    """The fields of a batch line: ``raw.split()`` wherever that has at most three.
+
+    A line longer than ``CHUNK_DIGITS`` is split once from the left and once
+    from the right, so only ``a`` and ``m`` are searched for whitespace and
+    ``solve``'s check stays the one scan of ``N``.  A line of four or more
+    fields then keeps whitespace inside ``N``, which always fails there; only
+    then does :func:`_pow_batch` split the whole line, to report its field count.
+    """
+    if len(raw) <= CHUNK_DIGITS:
+        return raw.split()
+    fields = raw.split(None, 1)
+    return fields[:1] + fields[1].rsplit(None, 1) if len(fields) == 2 else fields
+
+
 def _pow_batch() -> int:
     """One 'a N m' request per stdin line; one JSON object per output line.
 
@@ -229,15 +252,15 @@ def _pow_batch() -> int:
     worst = EXIT_OK
     write = sys.stdout.write
     for line_no, raw in enumerate(sys.stdin, 1):
-        fields = raw.split()
+        fields = _batch_fields(raw)
         if not fields:
             continue
         try:
-            if len(fields) != 3:
-                raise CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            chain, reduced, residue = _solve_pow(fields)
+            chain, reduced, residue = _solve_pow(fields)  # unpacking refuses other than 3 fields
             record = _pow_json(chain, reduced, residue)
         except (CliError, ValueError, CertificateError) as err:
+            if len(raw.split()) != 3:  # the field count is reported before any operand
+                err = CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
             import json  # only an error record needs it (module docstring)
             code = _exit_code(err)
             worst = max(worst, code)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from gencong.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from gencong.reduction import TheoremCheck, build_chain, solve
+from gencong.reduction import CHUNK_DIGITS, TheoremCheck, build_chain, solve
 
 
 def run_cli(capsys, *argv):
@@ -461,6 +462,26 @@ class TestSelftestCommand:
         assert "FAIL - stub" in out
 
 
+#: Every character below U+3001 that ``str.split()`` splits on (29 of them).
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+@st.composite
+def batch_lines(draw):
+    """0-5 fields of digits, ``-`` and letters, some on each side of
+    ``CHUNK_DIGITS`` long, joined by 1-3 whitespace characters, with optional
+    leading and trailing runs."""
+    field_chars = string.digits + "-" + string.ascii_letters
+    fields = draw(st.lists(
+        st.text(field_chars, min_size=1, max_size=8)
+        | st.text(field_chars, min_size=CHUNK_DIGITS - 8, max_size=CHUNK_DIGITS + 8),
+        max_size=5))
+    line = draw(st.text(WHITESPACE, max_size=3))
+    for i, field in enumerate(fields):
+        line += (draw(st.text(WHITESPACE, min_size=1, max_size=3)) if i else "") + field
+    return line + draw(st.text(WHITESPACE, max_size=3))
+
+
 class TestParsing:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
@@ -539,6 +560,21 @@ class TestParsing:
         assert code == EXIT_OK
         assert int(parse_summary(out)["residue"]) == pow(6, int(exponent), 105765)
         assert scanned == ["6", "105765"]  # a and m; N is checked by solve alone
+
+    @settings(max_examples=500, deadline=None)
+    @given(batch_lines())
+    @example("1 2 3 4\n")
+    @example(f"6 {'9' * CHUNK_DIGITS} 105765 1\n")
+    @example(f"  6\x1c{'9' * CHUNK_DIGITS}\u3000105765  \n")
+    @example(f"6 {'9' * CHUNK_DIGITS}\n")
+    @example("9" * (CHUNK_DIGITS + 1))
+    def test_batch_fields_split_as_str_split_up_to_three_fields(self, raw):
+        fields = cli._batch_fields(raw)
+        expected = raw.split()
+        if len(expected) <= 3:
+            assert fields == expected
+        else:  # never a valid 'a N m': _solve_pow refuses it
+            assert len(fields) > 3 or (len(fields) == 3 and any(map(str.isspace, fields[1])))
 
     def test_huge_operands_accepted(self, capsys):
         exponent = "9" * 5000

@@ -42,6 +42,18 @@ N_400 = "1234567890" * 40
 N_LONG = "000" + "9876543210" * 70
 BOUNDARY_STDIN = "".join(f"6 {('31415926535897932384' * 30)[:k]} 105765\n" for k in (300, 301, 600))
 
+#: Batch lines with four fields, short and past 300 characters, a long line
+#: with two, and long lines separated by a tab, a run of spaces and a CR, or
+#: by U+001C and U+3000, which ``str.split()`` also counts as whitespace.
+FIELDS_STDIN = (
+    "1 2 3 4\n"
+    "x 2 3 4\n"
+    f"6 {N_400} 105765 1\n"
+    f"6\t{N_400}  105765\r\n"
+    f"  6\x1c{N_400}\u3000105765  \n"
+    f"6 {N_400}\n"
+)
+
 #: A 4,401-digit modulus, past CPython's default 4,300-digit int/str limit,
 #: which ``main`` lifts for its own call.
 M_LONG = "1" + "0" * 4400
@@ -137,6 +149,7 @@ INPUTS = [
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", "1_000"], ""),
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", " 5"], ""),
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", "+5"], ""),
+    (["pow"], FIELDS_STDIN),
 ]
 
 
