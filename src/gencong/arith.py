@@ -5,11 +5,10 @@ and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
 ``factorize`` splits a composite past trial division by Pollard's P-1
 method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
-``kD - j`` with ``kD + j`` up to ``_PM1_B2``.  When a P-1 gcd is n itself,
-the step that found it is redone one prime power or one multiplication at a
-time.  When P-1 finds no proper factor, a perfect power is split by its
-exact integer root, and any other n by Lenstra's elliptic-curve method (ECM)
-on Montgomery curves, with a fixed schedule of bounds.  P-1's plan and each
+``kD - j`` with ``kD + j`` up to ``_PM1_B2``.  When P-1 finds no proper
+factor (its gcd is 1 or n itself), a perfect power is split by its exact
+integer root, and any other n by Lenstra's elliptic-curve method (ECM) on
+Montgomery curves, with a fixed schedule of bounds.  P-1's plan and each
 ECM level's come from one builder, ``_plan(B1, B2, D)``, on first use and are
 kept; their stage-2 rows take one byte per ``kD ± j``.  ``totient`` keeps its
 512 most recent values.
@@ -227,22 +226,14 @@ def _plan(b1: int, b2: int, d: int) -> tuple[int, tuple[int, ...], tuple[int, ..
 def _stage_2(n: int, rows: tuple[bytes, ...], giants: list[int], baby: list[int]) -> int:
     """The first gcd above 1 of ``prod(giants[i] - baby[j])`` over ``j in rows[i]``, else 1.
 
-    ``baby[j]`` is for the plan's j-th baby offset.  After each row the gcd
-    with n is taken; when it is n, the row is redone from the product it began
-    with, one product and gcd at a time, to the first gcd above 1 (maybe n).
+    ``baby[j]`` is for the plan's j-th baby offset.  The gcd with n is taken
+    after each row, so the gcd returned may be n itself.
     """
     acc = 1
     for row, w in zip(rows, giants):
-        start = acc
         for j in row:
             acc = acc * (w - baby[j]) % n
-        g = math.gcd(acc, n)
-        if g == n:
-            for j in row:
-                start = start * (w - baby[j]) % n
-                if (g := math.gcd(start, n)) != 1:
-                    break
-        if g != 1:
+        if (g := math.gcd(acc, n)) != 1:
             return g
     return 1
 
@@ -379,23 +370,15 @@ def _split(n: int) -> int:
     ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.  So one
     multiplication covers both ``kD ± j``, and stage 2 finds a p whose
     ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
-    ``_PM1_B2``.  When stage 1's gcd is n itself, stage 1 is redone one prime
-    power at a time, up to the first gcd above 1.  When that is still n
-    (every prime of n found at once, as for the square of a base-2 Wieferich
-    prime), or stage 2 finds nothing, n is split by its exact k-th root if it
-    is a perfect power (every prime k with ``1009**k <= n``, since n's primes
-    are past the trial bound), and by ``_ecm`` otherwise.
+    ``_PM1_B2``.  When a stage's gcd is n itself (every prime of n found at
+    once, as for the square of a base-2 Wieferich prime), or stage 2 finds
+    nothing, n is split by its exact k-th root if it is a perfect power
+    (every prime k with ``1009**k <= n``, since n's primes are past the trial
+    bound), and by ``_ecm`` otherwise.
     """
-    exponent, powers, babies, k0, rows = _plan(_PM1_B1, _PM1_B2, _PM1_D)
+    exponent, _, babies, k0, rows = _plan(_PM1_B1, _PM1_B2, _PM1_D)
     x = pow(2, exponent, n)
-    g = math.gcd(x - 1, n)
-    if g == n:
-        x = 2
-        for q in powers:
-            x = pow(x, q, n)
-            if (g := math.gcd(x - 1, n)) != 1:
-                break
-    elif g == 1:
+    if (g := math.gcd(x - 1, n)) == 1:
         v1 = (x + pow(x, -1, n)) % n
         v2 = (v1 * v1 - 2) % n
         baby, before, v = [0] * (_PM1_D // 2 + 1), v1, v1

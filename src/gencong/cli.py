@@ -247,10 +247,13 @@ def _pow_batch() -> int:
 
     A line that fails prints ``{"line": k, "error": ..., "code": ...}`` (``k``
     counts stdin lines from 1) and the batch goes on; the exit code is the
-    highest code of any line.
+    highest code of any line.  Stdin is decoded with ``surrogateescape`` in
+    every locale, so a byte that does not decode fails its own line only.
     """
     worst = EXIT_OK
     write = sys.stdout.write
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     for line_no, raw in enumerate(sys.stdin, 1):
         fields = _batch_fields(raw)
         if not fields:

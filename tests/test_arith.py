@@ -437,14 +437,6 @@ class TestFactorize:
         assert factors == sympy.factorint(n)
         assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_separates_a_stage_1_gcd_of_n_without_ecm(self):
-        # 1020 = 2**2 * 3 * 5 * 17 and 1030 = 2 * 5 * 103 both divide the
-        # exponent, so stage 1's gcd is n; redone one prime power at a time,
-        # the gcd is 1021 at 17**2
-        factors, calls = factorize_counted(1021 * 1031, ("_split", "_ecm"))
-        assert factors == {1021: 1, 1031: 1}
-        assert calls == {"_split": 1, "_ecm": 0}
-
     def test_p_minus_1_splits_without_ecm(self):
         # 1020 = 2**2 * 3 * 5 * 17 divides the exponent; 2038 = 2 * 1019 does not
         factors, calls = factorize_counted(1021 * 2039, ("_split", "_ecm"))
@@ -453,9 +445,6 @@ class TestFactorize:
 
     @pytest.mark.parametrize("q", [
         33554519,  # a safe prime: 33554518 = 2 * 16777259, past B2
-        # 6366 = 2 * 3 * 1061: 1013 = 5 * 210 - 37 and 1061 = 5 * 210 + 11 share
-        # giant step 5, whose gcd is n; redone, the row finds 6367 at j = 11
-        6367,
     ])
     def test_p_minus_1_stage_2_splits_without_ecm(self, q):
         # stage 1's gcd is 1 and 2026 = 2 * 1013: stage 2 finds 2027 at q = 1013
@@ -463,11 +452,20 @@ class TestFactorize:
         assert factors == {2027: 1, q: 1}
         assert calls == {"_split": 1, "_ecm": 0}
 
-    def test_p_minus_1_stage_2_falls_back_to_ecm_when_the_gcd_is_n(self):
-        # 2026 = 2 * 1013 and 6078 = 2 * 3 * 1013: both primes turn up in the
-        # one multiplication for q = 1013, so the redone row's gcd is n as well
-        factors, calls = factorize_counted(2027 * 6079, ("_split", "_ecm"))
-        assert factors == {2027: 1, 6079: 1}
+    @pytest.mark.parametrize("p, q", [
+        # 1020 = 2**2 * 3 * 5 * 17 and 1030 = 2 * 5 * 103 both divide the
+        # exponent, so stage 1's gcd is n
+        (1021, 1031),
+        # 2026 = 2 * 1013 and 6366 = 2 * 3 * 1061: 1013 = 5 * 210 - 37 and
+        # 1061 = 5 * 210 + 11 share giant step 5, whose row's gcd is n
+        (2027, 6367),
+        # 6078 = 2 * 3 * 1013: both primes turn up in the one multiplication
+        # for q = 1013
+        (2027, 6079),
+    ])
+    def test_p_minus_1_stage_2_falls_back_to_ecm_when_the_gcd_is_n(self, p, q):
+        factors, calls = factorize_counted(p * q, ("_split", "_ecm"))
+        assert factors == {p: 1, q: 1}
         assert calls == {"_split": 1, "_ecm": 1}
 
     @pytest.mark.parametrize("b1, b2, D, offsets", [
@@ -657,10 +655,14 @@ class TestEcm:
             seen[kind] += 1
         assert seen["stage 1"] >= 10 and seen["stage 2"] >= 20 and seen["neither"] >= 1, seen
 
+    def test_ecm_curve_singular_mod_a_prime_returns_that_prime(self):
+        # sigma = 34 gives u = 34**2 - 5 = 1151, a prime, so the curve's
+        # denominator 16 u**3 v has no inverse mod 1151 * 1153
+        assert arith._ecm_curve(1151 * 1153, 34) == 1151
+
     def test_every_product_of_two_primes_in_1009_1400_splits_within_4_curves(self):
         # from B1 = 120 on, one ladder over all of stage 1 would find both
-        # primes on most curves; a gcd per prime power and the row redo keep
-        # them apart
+        # primes on most curves; a gcd per prime power keeps them apart
         primes = tuple(sympy.primerange(1009, 1400))
         for p, q in itertools.combinations(primes, 2):
             g, calls = call_counted(arith._ecm, p * q, ("_ecm_curve",))

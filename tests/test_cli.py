@@ -695,6 +695,20 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_DOMAIN
 
+    def test_batch_answers_the_lines_after_an_undecodable_byte(self):
+        # a strict UTF-8 stdin would raise on 0xff and drop every line after it
+        proc = subprocess.run(
+            [sys.executable, "-m", "gencong", "pow"],
+            input=b"2 3 5\n\xff 3 5\n2 3 7\n", capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        first, second, third = (json.loads(line) for line in proc.stdout.splitlines())
+        assert (first["residue"], third["residue"]) == ("3", "1")
+        assert second == {"line": 2, "error": "a must be a decimal integer, got '\\udcff'",
+                          "code": EXIT_USAGE}
+        assert proc.stderr == b""
+
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # far more output than a pipe buffers, so writes fail once the
         # reader has gone, as in `gencong pow < requests | head -1`
