@@ -3,20 +3,21 @@
 Everything operates on arbitrary-precision ints, is pure and deterministic,
 and never touches floating point.  ``is_prime`` is a proof below psi_13 and
 Baillie-PSW past it: a strong base-2 test and an extra strong Lucas test.
-``factorize`` splits a composite past trial division by Pollard's P-1
-method, stage 1 to its own bound ``_PM1_B1`` and a stage 2 that pairs
-``kD - j`` with ``kD + j`` up to ``_PM1_B2``.  When P-1 finds no proper
-factor (its gcd is 1 or n itself), a perfect power is split by its exact
-integer root, and any other n by Lenstra's elliptic-curve method (ECM) on
-Montgomery curves, with a fixed schedule of bounds.  P-1's plan and each
-ECM level's come from one builder, ``_plan(B1, B2, D)``, on first use and are
-kept; their stage-2 rows take one byte per ``kD ± j``.  ``totient`` keeps its
-512 most recent values.
+``factorize`` splits a composite past trial division by the first gcd
+strictly between 1 and n of a fixed order of attempts (``_split``):
+Pollard's P-1 method, stage 1 to its own bound ``_PM1_B1`` and a stage 2
+that pairs ``kD - j`` with ``kD + j`` up to ``_PM1_B2``; the exact integer
+roots of a perfect power; and Lenstra's elliptic-curve method (ECM) on
+Montgomery curves, one curve at a time, with a fixed schedule of bounds.
+P-1's plan and each ECM level's come from one builder, ``_plan(B1, B2, D)``,
+on first use and are kept; their stage-2 rows take one byte per ``kD ± j``.
+``totient`` keeps its 512 most recent values.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, compress, count
 from operator import itemgetter
@@ -278,7 +279,7 @@ def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
 
 
 def _ecm_curve(n: int, sigma: int) -> int:
-    """The gcd with n that one ECM curve finds, 1 when it finds none.
+    """The gcd with n that ECM curve ``sigma`` finds; 1 or n itself splits nothing.
 
     The curve is Montgomery's ``B y**2 = x**3 + A x**2 + x`` (Math. Comp. 48,
     1987) in Suyama's parametrization, whose group order mod p is a multiple
@@ -334,19 +335,6 @@ def _ecm_curve(n: int, sigma: int) -> int:
     return _stage_2(n, rows, xs[len(babies):], xs)  # xs[i] is x(jQ) for the i-th offset j
 
 
-def _ecm(n: int) -> int:
-    """Nontrivial factor of an odd composite n that is no perfect power, by ECM.
-
-    Lenstra's elliptic-curve method (Ann. Math. 126, 1987) tries the curves
-    ``sigma = 6, 7, 8, ...`` of ``_ecm_curve`` in turn, curve c on the
-    ``_plan`` of level ``c // _ECM_CURVES``, up to the first that finds a
-    proper factor.  A curve whose gcd is n found every prime of n at once
-    and is dropped.  Modulo a prime power nearly every curve's gcd is n,
-    which is why ``_split`` takes out perfect powers first.
-    """
-    return next(g for sigma in count(6) if 1 < (g := _ecm_curve(n, sigma)) < n)
-
-
 def _iroot(n: int, k: int) -> int:
     """``floor(n ** (1/k))`` for ``n >= 1`` in integers: ``math.isqrt``, else Newton's method."""
     if k == 2:
@@ -357,28 +345,27 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
-def _split(n: int) -> int:
-    """Nontrivial factor of an odd composite n: Pollard P-1 stages 1 and 2, else ECM.
+def _gcds(n: int) -> Iterator[int]:
+    """The gcds with n that ``_split`` tries, in its order; any may be 1 or n.
 
-    Stage 1 (Pollard 1974) takes ``gcd(x - 1, n)`` with ``x = 2**E mod n``
+    P-1's stage 1 (Pollard 1974) is ``gcd(x - 1, n)`` with ``x = 2**E mod n``
     and E the exponent of P-1's ``_plan``, a multiple of every prime
-    ``p | n`` whose ``p - 1`` divides E.  When that gcd is 1, stage 2
-    (Montgomery 1987) goes on from x with ``V_i = x**i + x**-i`` and
+    ``p | n`` whose ``p - 1`` divides E.  Stage 2 (Montgomery 1987), taken
+    when that gcd is 1, goes on from x with ``V_i = x**i + x**-i`` and
     ``D = _PM1_D``: baby steps ``V_j`` for odd ``j < D / 2``, giant steps
     ``W_k = V_kD`` by ``W_(k+1) = W_k * V_D - W_(k-1)`` from the plan's
     ``k0`` on, and for each j of row k ``_stage_2`` takes
     ``W_k - V_j == x**-kD * (x**(kD-j) - 1) * (x**(kD+j) - 1)``.  So one
     multiplication covers both ``kD ± j``, and stage 2 finds a p whose
     ``p - 1`` is a divisor of E times one prime from ``_PM1_B1`` up to
-    ``_PM1_B2``.  When a stage's gcd is n itself (every prime of n found at
-    once, as for the square of a base-2 Wieferich prime), or stage 2 finds
-    nothing, n is split by its exact k-th root if it is a perfect power
-    (every prime k with ``1009**k <= n``, since n's primes are past the trial
-    bound), and by ``_ecm`` otherwise.
+    ``_PM1_B2``.  A root attempt gives n's exact k-th root, or 1 if there is
+    none, for each prime k with ``1009**k <= n`` (n's primes are past the
+    trial bound).  The ECM curves ``sigma = 6, 7, 8, ...`` follow without end.
     """
     exponent, _, babies, k0, rows = _plan(_PM1_B1, _PM1_B2, _PM1_D)
     x = pow(2, exponent, n)
-    if (g := math.gcd(x - 1, n)) == 1:
+    yield (g := math.gcd(x - 1, n))
+    if g == 1:
         v1 = (x + pow(x, -1, n)) % n
         v2 = (v1 * v1 - 2) % n
         baby, before, v = [0] * (_PM1_D // 2 + 1), v1, v1
@@ -389,15 +376,26 @@ def _split(n: int) -> int:
         for _ in range(k0 + len(rows)):  # the rows need W_k from k0 on
             giants.append(w)
             before, w = w, (w * giant - before) % n
-        g = _stage_2(n, rows, giants[k0:], [baby[j] for j in babies])
-    if 1 < g < n:
-        return g
+        yield _stage_2(n, rows, giants[k0:], [baby[j] for j in babies])
     for k in _TRIAL_PRIMES:
         if _TRIAL_BOUND**k > n:
             break
-        if (r := _iroot(n, k)) ** k == n:
-            return r
-    return _ecm(n)
+        yield r if (r := _iroot(n, k)) ** k == n else 1
+    for sigma in count(6):
+        yield _ecm_curve(n, sigma)
+
+
+def _split(n: int) -> int:
+    """Nontrivial factor of an odd composite n: the first gcd of ``_gcds`` in ``(1, n)``.
+
+    The order is P-1 stage 1, P-1 stage 2 when stage 1's gcd is 1, the exact
+    roots, then ECM (Lenstra, Ann. Math. 126, 1987) one curve at a time.  A
+    gcd of n found every prime of n at once, as P-1 does for the square of a
+    base-2 Wieferich prime, and goes on to the next attempt as a gcd of 1
+    does.  Modulo a prime power nearly every curve's gcd is n, which is why
+    the roots come before ECM.
+    """
+    return next(g for g in _gcds(n) if 1 < g < n)
 
 
 def factorize(n: int) -> Factorization:
@@ -407,9 +405,8 @@ def factorize(n: int) -> Factorization:
     divides ``n`` or at the first ``p * p > n``, which leaves ``n`` prime.
     Once ``p * p`` exceeds the product of the trial primes left to divide
     out, that product is one prime, so it is taken next.  The loop splits
-    each cofactor ``is_prime`` does not prove, by Pollard P-1's two stages
-    and, when they find nothing, by an exact root or ECM (``_split``), and
-    divides each one it proves out of the pending cofactors to its full power.
+    each cofactor ``is_prime`` does not prove with ``_split``, and divides
+    each one it proves out of the pending cofactors to its full power.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

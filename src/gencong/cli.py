@@ -1,23 +1,25 @@
 """Command-line front end: reduce, pow, totient, verify, selftest.
 
 Operands are decimal integer strings of arbitrary length: one or more
-ASCII digits after an optional ``-``, as ``_is_integer`` states once for
-all of them.  Exit codes: 0 success, 1 usage/parse error, 2 domain error
-(a ``ValueError`` from the library, e.g. zero modulus), 3 verification
-failure (including a ``CertificateError`` from ``solve``), 141 stdout
-closed early (as a shell reports a writer killed by SIGPIPE).
+ASCII digits after an optional ``-``.  ``_is_integer`` checks every operand
+but ``pow``'s ``N``, whose digits after any ``-`` go through the library's
+``_checked_exponent``: the one scan of them, so a long ``N`` is folded in
+linear time and never converted to an int.  Exit codes: 0 success, 1
+usage/parse error, 2 domain error (a ``ValueError`` from the library, e.g.
+zero modulus), 3 verification failure (including a ``CertificateError``
+from ``solve``), 141 stdout closed early (as a shell reports a writer
+killed by SIGPIPE).
 
 Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
 the parser is the one list of subcommands.  A handler takes the parsed
 ``argparse.Namespace`` and returns through ``_emit``, the one place that
 picks text or JSON (batch mode streams JSON lines itself, with an error
 record for each line it cannot answer).  Powers go through
-``reduction.solve``, as in the library, with ``N`` passed as its digit
-string so it is folded in linear time and never converted to an int; the
-library's check of that string is the one scan of its digits.  A batch line
-longer than ``CHUNK_DIGITS`` characters finds ``N`` between its first and
-last fields (``_batch_fields``), so splitting it does not scan ``N`` either;
-only a failed line is split whole, to report a wrong field count.
+``reduction.solve``, as in the library, with the operands checked in the
+order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
+characters finds ``N`` between its first and last fields
+(``_batch_fields``), so splitting it does not scan ``N`` either; only a
+failed line is split whole, to report a wrong field count.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
 per ``(m, gcd(a, m))`` class and evaluates both sides once per distinct
 residue ``a mod |m|`` in each block of bases; a failing pair's witness is
@@ -47,6 +49,7 @@ from .reduction import (
     CertificateError,
     ReductionChain,
     TheoremCheck,
+    _checked_exponent,
     build_chain,
     mod_pow,  # noqa: F401  re-exported; bench/test_bench.py traces cli.mod_pow
     reduced_pow,
@@ -185,12 +188,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
-    """``solve(a, N, m)`` for the operands ``a N m``; ``-0`` is ``0``.
+    """``solve(a, N, m)`` for the operands ``a N m``, checked in that order; ``-0`` is ``0``.
 
-    ``N`` stays a string, which ``solve`` checks and folds without the
-    quadratic ``int()``.  That check is the one scan of its digits: ``N`` is
-    scanned here only once something has failed, so that a bad ``N`` is
-    still reported before a bad ``m`` or a domain error, in operand order.
+    ``N`` is checked once, by the library's ``_checked_exponent`` on its
+    digits after any ``-``, and ``solve`` folds a long one without ``int()``.
     On a long batch line ``N`` is everything between the first and last
     fields (``_batch_fields``), so whitespace inside it means the line had
     four or more fields; that always fails here, and ``_pow_batch`` then
@@ -198,17 +199,14 @@ def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
     """
     a_text, n_text, m_text = fields
     a = _parse_int(a_text, "a")
-    exponent = n_text
-    if n_text.startswith("-") and _is_integer(n_text):
-        if n_text.strip("-0"):
-            raise CliError(EXIT_USAGE, "N must be non-negative")
-        exponent = "0"
+    negative = n_text[:1] == "-"
     try:
-        return solve(a, exponent, _parse_int(m_text, "m"))
-    except (CliError, ValueError):
-        if not _is_integer(n_text):
-            raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}") from None
-        raise
+        exponent = _checked_exponent(n_text[1:] if negative else n_text)
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"N must be a decimal integer, got {n_text!r}") from None
+    if negative and exponent:
+        raise CliError(EXIT_USAGE, "N must be non-negative")
+    return solve(a, exponent, _parse_int(m_text, "m"))
 
 
 def cmd_pow(args: argparse.Namespace) -> int:

@@ -236,13 +236,10 @@ def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:
     zeros allowed).  A string longer than :data:`CHUNK_DIGITS` digits is
     folded in linear time, by Horner's rule over chunks of that many digits.
     """
-    if isinstance(exponent, str) and not isinstance(exponent, _Digits):
-        exponent = _checked_exponent(exponent)
+    exponent = _checked_exponent(exponent)
     if isinstance(exponent, _Digits):
         # N >= 10**CHUNK_DIGITS, far past s <= log2|m| + 1
         return chain.s + (_mod_decimal(exponent, chain.phi_ms) - chain.s) % chain.phi_ms
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
     if exponent < chain.s:
         return exponent
     return chain.s + (exponent - chain.s) % chain.phi_ms
@@ -252,14 +249,18 @@ class _Digits(str):
     """The digits of an exponent too long for ``int()``, checked, leading zeros stripped."""
 
 
-def _checked_exponent(text: str) -> int | _Digits:
-    """``text``, checked to be ASCII decimal digits, as an int or, past
-    :data:`CHUNK_DIGITS` digits, as :class:`_Digits` to fold without ``int()``."""
-    # isascii() is O(1); bytes.isdigit() is the scan, 3-4x a regex's speed
-    if not (text.isascii() and text.encode().isdigit()):
-        raise ValueError(f"exponent must be ASCII decimal digits, got {text[:40]!r}")
-    digits = text.lstrip("0")
-    return _Digits(digits) if len(digits) > CHUNK_DIGITS else int(digits or "0")
+def _checked_exponent(exponent: int | str) -> int | _Digits:
+    """``exponent``, checked; a string of ASCII digits is taken as an int or :class:`_Digits`."""
+    if not isinstance(exponent, str):
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative")
+    elif not isinstance(exponent, _Digits):
+        # isascii() is O(1); bytes.isdigit() is the scan, 3-4x a regex's speed
+        if not (exponent.isascii() and exponent.encode().isdigit()):
+            raise ValueError(f"exponent must be ASCII decimal digits, got {exponent[:40]!r}")
+        digits = exponent.lstrip("0")
+        return _Digits(digits) if len(digits) > CHUNK_DIGITS else int(digits or "0")
+    return exponent
 
 
 def _mod_decimal(digits: str, modulus: int) -> int:
@@ -289,14 +290,13 @@ def solve(a: int, exponent: int | str, m: int) -> tuple[ReductionChain, int, int
     but the work is bounded by ``|m|`` and the exponent's digit count, so
     an exponent given as a decimal string of millions of digits is fine.
 
-    A string exponent is checked before the chain is built, so a malformed
-    one fails before ``m_s`` is factored.  When ``m_s`` has a part past the
-    trial primes of at least psi_13, the fold is certified first (module
-    docstring): if ``a**phi_ms`` is not 1 modulo that part,
+    The exponent is checked before the chain is built, so a malformed or
+    negative one fails before ``m_s`` is factored.  When ``m_s`` has a part
+    past the trial primes of at least psi_13, the fold is certified first
+    (module docstring): if ``a**phi_ms`` is not 1 modulo that part,
     :class:`CertificateError` is raised.
     """
-    if isinstance(exponent, str):
-        exponent = _checked_exponent(exponent)
+    exponent = _checked_exponent(exponent)
     chain = build_chain(a, m)
     reduced = reduce_exponent(chain, exponent)
     if chain.m_s >= _PSI_13:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAKE_PRIME
-from gencong import reduction
+from gencong import arith, reduction
 from gencong.arith import Factorization, factorize, mod_pow, totient
 from gencong.reduction import (
     CHUNK_DIGITS,
@@ -299,6 +299,17 @@ class TestReduceExponent:
         chain = build_chain(6, 105765)
         with pytest.raises(ValueError):
             reduce_exponent(chain, -1)
+
+    @pytest.mark.parametrize("exponent", [-1, "-1", "x"])
+    def test_bad_exponent_fails_before_m_s_is_factored(self, monkeypatch, exponent):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        m = sympy.nextprime(2**40) * sympy.nextprime(2**41)
+        arith.totient.cache_clear()
+        monkeypatch.setattr(arith, "factorize", refuse)
+        with pytest.raises(ValueError):
+            solve(2, exponent, m)
 
     def test_worked_example(self):
         chain = build_chain(6, 105765)
