@@ -1,7 +1,7 @@
 """Golden corpus: exit code, stdout and stderr of ``cli.main`` for fixed inputs.
 
-Every command, ``--json``, ``--trace``, negative operands, batch mode and
-the usage (1) and domain (2) error exits are recorded in ``golden_cli.json``;
+Every command, ``--json``, ``--trace``, ``-h``, negative operands, batch
+mode and the usage (1) and domain (2) error exits are recorded in ``golden_cli.json``;
 exit 3 needs a broken library and is covered in ``test_cli.py``.  Refactors
 must leave every case byte-identical; an intended output change re-records
 the corpus with
@@ -150,6 +150,21 @@ INPUTS = [
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", " 5"], ""),
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", "+5"], ""),
     (["pow"], FIELDS_STDIN),
+    # the parser's surface: help, flag conflicts, missing and invalid option
+    # values, options before the command, unknown options, extra operands,
+    # the --opt=value form and "--"
+    (["--help"], ""),
+    (["-h"], ""),
+    *(([command, "-h"], "") for command in ("reduce", "pow", "totient", "verify", "selftest")),
+    (["pow", "--json", "--trace"], ""),
+    (["verify", "--a"], ""),
+    (["verify", "--cap"], ""),
+    (["--json", "pow"], ""),
+    (["pow", "-x", "2", "3", "5"], ""),
+    (["verify", "--a", "1..2", "--m", "1..2", "5"], ""),
+    (["verify", "--a=1..2", "--m=1..2", "--cap=x"], ""),
+    (["pow", "--", "-3", "5", "7"], ""),
+    (["reduce", "6", "105765", "--trace"], ""),
 ]
 
 
@@ -160,7 +175,10 @@ def run_case(argv, stdin):
     sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # recorded as the exit code a shell would see
+                code = exc.code
     finally:
         sys.stdin = saved
     return {"argv": argv, "stdin": stdin, "exit": code,
