@@ -10,11 +10,12 @@ zero modulus), 3 verification failure (including a ``CertificateError``
 from ``solve``), 141 stdout closed early (as a shell reports a writer
 killed by SIGPIPE).
 
-Each subparser carries its handler (``set_defaults(handler=cmd_...)``), so
-the parser is the one list of subcommands.  A handler takes the parsed
-``argparse.Namespace`` and returns through ``_emit``, the one place that
-picks text or JSON (batch mode streams JSON lines itself, with an error
-record for each line it cannot answer).  Powers go through
+``_COMMANDS`` is the one list of commands, with each one's handler,
+operands, options and help; ``_parse_args`` reads argv against it in one
+pass, in argparse's words but without argparse's 6 ms of import and set-up.
+A handler takes the parsed namespace and returns through ``_emit``, the one
+place that picks text or JSON (batch mode streams JSON lines itself, with
+an error record for each line it cannot answer).  Powers go through
 ``reduction.solve``, as in the library, with the operands checked in the
 order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
 characters finds ``N`` between its first and last fields
@@ -31,16 +32,16 @@ out.  ``_chain_json`` is the one serializer of a chain: ``reduce --json``
 prints it as is, and ``_pow_json`` (a ``pow --json`` object or a batch
 line) and ``_witness_json`` (a ``verify`` witness) hand it their extra
 members as one pre-formatted tail.  The ``json`` module is imported only
-where it is used: for a batch error record, and by the ``totient`` and
-``selftest`` handlers for their ``--json`` output.  So importing the CLI
-does not load it.
+where it is used, by ``_dumps``: for a batch error record and for the
+``totient`` and ``selftest`` ``--json`` output.  So importing the CLI, or
+printing text, does not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .arith import Factorization, factorize, totient
@@ -75,11 +76,6 @@ class CliError(Exception):
         self.code = code
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit with code 2
-        raise CliError(EXIT_USAGE, message)
-
-
 def _is_integer(text: str) -> bool:
     """The operand syntax: one or more ASCII digits after an optional ``-``."""
     digits = text[1:] if text[:1] == "-" else text
@@ -92,11 +88,12 @@ def _parse_int(text: str, name: str) -> int:
     return int(text)
 
 
-def _cap(text: str) -> int:
-    """``--cap``'s type: the operands' syntax, refused in argparse's own words."""
-    if not _is_integer(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+def _is_operand(token: str) -> bool:
+    """argparse's rule: ``-``, a token not led by ``-`` or holding a space, or a
+    negative number (``-5``, ``-.5``); any other token led by ``-`` is an option."""
+    whole, dot, fraction = token[1:].partition(".")
+    return token[:1] != "-" or token == "-" or " " in token or (
+        (fraction or not dot) and (whole + fraction).isdecimal())
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -154,6 +151,12 @@ def _witness_json(check: TheoremCheck) -> str:
     return _chain_json(check.chain, f', "lhs": "{check.lhs}", "rhs": "{check.rhs}"')
 
 
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload)``, loading ``json`` only when a record needs it (module docstring)."""
+    import json
+    return json.dumps(payload)
+
+
 def _factorization_payload(f: Factorization) -> dict:
     factors = [{"prime": str(p), "exponent": e} for p, e in f.factors]
     return {"n": str(f.n), "phi": str(f.phi), "factors": factors}
@@ -173,14 +176,14 @@ def _exit_code(err: CliError | ValueError | CertificateError) -> int:
     return err.code if isinstance(err, CliError) else EXIT_DOMAIN
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], str],
+def _emit(args: SimpleNamespace, payload: Callable[[], str],
           lines: Callable[[], list[str]], code: int = EXIT_OK) -> int:
     """Print ``payload()``, JSON text, under ``--json``, else ``lines()``; return ``code``."""
     print(payload() if args.json else "\n".join(lines()))
     return code
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: SimpleNamespace) -> int:
     if len(args.operands) != 2:
         raise CliError(EXIT_USAGE, "reduce expects operands: a m")
     chain = build_chain(_parse_int(args.operands[0], "a"), _parse_int(args.operands[1], "m"))
@@ -209,7 +212,7 @@ def _solve_pow(fields: Iterable[str]) -> tuple[ReductionChain, int, int]:
     return solve(a, exponent, _parse_int(m_text, "m"))
 
 
-def cmd_pow(args: argparse.Namespace) -> int:
+def cmd_pow(args: SimpleNamespace) -> int:
     if not args.operands:
         if args.trace:
             raise CliError(EXIT_USAGE, "--trace needs operands a N m; batch mode prints JSON only")
@@ -262,24 +265,22 @@ def _pow_batch() -> int:
         except (CliError, ValueError, CertificateError) as err:
             if len(raw.split()) != 3:  # the field count is reported before any operand
                 err = CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            import json  # only an error record needs it (module docstring)
             code = _exit_code(err)
             worst = max(worst, code)
-            record = json.dumps({"line": line_no, "error": str(err), "code": code})
+            record = _dumps({"line": line_no, "error": str(err), "code": code})
         write(record + "\n")
     return worst
 
 
-def cmd_totient(args: argparse.Namespace) -> int:
+def cmd_totient(args: SimpleNamespace) -> int:
     if len(args.operands) != 1:
         raise CliError(EXIT_USAGE, "totient expects one operand: n")
     n = _parse_int(args.operands[0], "n")
-    import json
-    return _emit(args, lambda: json.dumps(_factorization_payload(factorize(n))),
+    return _emit(args, lambda: _dumps(_factorization_payload(factorize(n))),
                  lambda: [str(totient(n))])
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.cap < 1:
         raise CliError(EXIT_USAGE, f"--cap must be at least 1, got {args.cap}")
     if args.a is None or args.m is None:
@@ -335,12 +336,11 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     ]
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: SimpleNamespace) -> int:
     results = _selftest_checks()
     failed = [name for name, ok in results if not ok]
     passed = len(results) - len(failed)
-    import json
-    return _emit(args, lambda: json.dumps({
+    return _emit(args, lambda: _dumps({
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "passed": passed,
         "failed": len(failed),
@@ -350,73 +350,107 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     ], EXIT_VERIFY_FAILED if failed else EXIT_OK)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="gencong",
-        description="Reduce huge modular exponents via gcd reduction chains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_reduce = sub.add_parser("reduce", help="print the chain (steps, s, m_s, phi) for a and m")
-    p_reduce.add_argument("operands", nargs="*", metavar="OPERAND", help="a m")
-    p_reduce.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_reduce.set_defaults(handler=cmd_reduce)
-
-    p_pow = sub.add_parser("pow", help="compute a^N mod m by exponent reduction")
-    p_pow.add_argument("operands", nargs="*", metavar="OPERAND",
-                       help="a N m; omit to read one request per stdin line")
-    p_pow_format = p_pow.add_mutually_exclusive_group()
-    p_pow_format.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_pow_format.add_argument("--trace", action="store_true",
-                              help="also print the chain table and the congruence line "
-                                   "(text only, needs operands)")
-    p_pow.set_defaults(handler=cmd_pow)
-
-    p_tot = sub.add_parser("totient", help="print phi(n)")
-    p_tot.add_argument("operands", nargs="*", metavar="OPERAND", help="n")
-    p_tot.add_argument("--json", action="store_true",
-                       help="emit a JSON object with the factorization")
-    p_tot.set_defaults(handler=cmd_totient)
-
-    p_verify = sub.add_parser("verify", help="check the congruence over ranges of a and m")
-    p_verify.add_argument("--a", metavar="LO..HI", help="inclusive range of bases")
-    p_verify.add_argument("--m", metavar="LO..HI", help="inclusive range of moduli (m = 0 skipped)")
-    p_verify.add_argument("--cap", type=_cap, default=DEFAULT_VERIFY_CAP, metavar="K",
-                          help=f"maximum number of pairs, at least 1 (default {DEFAULT_VERIFY_CAP})")
-    p_verify.add_argument("--json", action="store_true", help="emit a JSON summary")
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_self = sub.add_parser("selftest", help="run the built-in regression checks")
-    p_self.add_argument("--json", action="store_true", help="emit a JSON summary")
-    p_self.set_defaults(handler=cmd_selftest)
-
-    return parser
+#: command -> (handler, summary, operands' help or None, flags, options that
+#: take a value).  A flag maps to its help; a command's flags exclude each other.
+#: An option maps to (metavar, default, help), and takes an int if its default is one.
+_COMMANDS = {
+    "reduce": (cmd_reduce, "print the chain (steps, s, m_s, phi) for a and m", "a m",
+               {"--json": "emit a JSON object"}, {}),
+    "pow": (cmd_pow, "compute a^N mod m by exponent reduction",
+            "a N m; omit to read one request per stdin line",
+            {"--json": "emit a JSON object",
+             "--trace": "also print the chain table and the congruence line (text only,\n"
+                        "              needs operands)"}, {}),
+    "totient": (cmd_totient, "print phi(n)", "n",
+                {"--json": "emit a JSON object with the factorization"}, {}),
+    "verify": (cmd_verify, "check the congruence over ranges of a and m", None,
+               {"--json": "emit a JSON summary"},
+               {"--a": ("LO..HI", None, "inclusive range of bases"),
+                "--m": ("LO..HI", None, "inclusive range of moduli (m = 0 skipped)"),
+                "--cap": ("K", DEFAULT_VERIFY_CAP,
+                          f"maximum number of pairs, at least 1 (default {DEFAULT_VERIFY_CAP})")}),
+    "selftest": (cmd_selftest, "run the built-in regression checks", None,
+                 {"--json": "emit a JSON summary"}, {}),
+}
 
 
-def _merge_range_values(argv: list[str]) -> list[str]:
-    """Join --a/--m with their values so ranges like -10..-1 survive argparse."""
-    merged = []
+def _print_help(args: SimpleNamespace) -> int:
+    """``-h``: the help of ``args.command`` (of ``gencong`` if ``None``), as argparse wrote it."""
+    if args.command is None:
+        names = "{" + ",".join(_COMMANDS) + "}"
+        print(f"usage: gencong [-h] {names} ...\n\n"
+              "Reduce huge modular exponents via gcd reduction chains.\n\n"
+              f"positional arguments:\n  {names}\n"
+              + "".join(f"    {name:<20}{row[1]}\n" for name, row in _COMMANDS.items())
+              + "\noptions:\n  -h, --help            show this help message and exit")
+        return EXIT_OK
+    _, _, operands, flags, options = _COMMANDS[args.command]
+    usage = "".join(f" [{option} {metavar}]" for option, (metavar, _, _) in options.items())
+    rows = {"-h, --help": "show this help message and exit", **{
+        f"{option} {metavar}": text for option, (metavar, _, text) in options.items()}, **flags}
+    print(f"usage: gencong {args.command} [-h]{usage} [{' | '.join(flags)}]"
+          + (f" [OPERAND ...]\n\npositional arguments:\n  OPERAND     {operands}" if operands else "")
+          + "\n\noptions:" + "".join(f"\n  {row:<10}  {text}" for row, text in rows.items()))
+    return EXIT_OK
+
+
+def _parse_args(argv: Iterable[str]) -> SimpleNamespace:
+    """The namespace a handler reads, from one pass over ``argv`` against ``_COMMANDS``.
+
+    Options may come anywhere after the command up to ``--``, as ``--opt value``
+    or ``--opt=value``.  Errors are argparse's, in its order: unrecognized ones last.
+    """
     tokens = iter(argv)
+    extras: list[str] = []
+    for command in tokens:
+        if command in ("-h", "--help"):
+            return SimpleNamespace(handler=_print_help, command=None)
+        if _is_operand(command):
+            break
+        extras.append(command)
+    else:
+        raise CliError(EXIT_USAGE, "the following arguments are required: command")
+    if command not in _COMMANDS:
+        raise CliError(EXIT_USAGE, f"argument command: invalid choice: {command!r} "
+                                   f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, _, operand_help, flags, options = _COMMANDS[command]
+    args = SimpleNamespace(handler=handler, operands=[],
+                           **{flag[2:]: False for flag in flags},
+                           **{option[2:]: default for option, (_, default, _) in options.items()})
+    operands = args.operands if operand_help else extras
     for token in tokens:
-        if token in ("--a", "--m"):
-            value = next(tokens, None)
-            merged.append(token if value is None else f"{token}={value}")
+        option, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return SimpleNamespace(handler=_print_help, command=command)
+        if token in flags:
+            for other in flags:
+                if other != token and getattr(args, other[2:]):
+                    raise CliError(EXIT_USAGE, f"argument {token}: not allowed with argument {other}")
+            setattr(args, token[2:], True)
+        elif option in options:
+            if not eq and (value := next(tokens, None)) is None:
+                raise CliError(EXIT_USAGE, f"argument {option}: expected one argument")
+            takes_int = isinstance(options[option][1], int)
+            if takes_int and not _is_integer(value):
+                raise CliError(EXIT_USAGE, f"argument {option}: invalid int value: {value!r}")
+            setattr(args, option[2:], int(value) if takes_int else value)
+        elif token == "--":
+            operands.extend(tokens)
         else:
-            merged.append(token)
-    return merged
+            (operands if _is_operand(token) else extras).append(token)
+    if extras:
+        raise CliError(EXIT_USAGE, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     # operands are arbitrary-length decimals: lift the conversion cap for
     # this call only, so a library caller's own limit survives it
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_range_values(list(argv)))
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code

@@ -490,10 +490,19 @@ class TestParsing:
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 
     def test_usage_errors_never_exit_2(self, capsys):
-        # argparse's default error path exits 2, which is reserved for
-        # domain errors here
+        # a usage error exits 1; 2 is reserved for domain errors
         code, _, _ = run_cli(capsys, "pow", "--bogus-flag")
         assert code == EXIT_USAGE
+
+    def test_option_prefixes_are_refused(self, capsys):
+        assert run_cli(capsys, "pow", "--js", "2", "3", "5") == (
+            EXIT_USAGE, "", "gencong: error: unrecognized arguments: --js\n")
+
+    def test_options_may_come_between_operands(self, capsys):
+        between = run_cli(capsys, "pow", "2", "--json", "3", "5")
+        assert between == run_cli(capsys, "pow", "2", "3", "5", "--json")
+        assert between[0] == EXIT_OK
+        assert json.loads(between[1])["residue"] == "3"
 
     def test_library_value_error_is_domain_error(self, capsys, monkeypatch):
         def broken(a, m):
@@ -677,6 +686,22 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("argv", [["pow", "2", "3", "5"], ["totient", "12"]],
+                             ids=["pow", "totient"])
+    def test_a_text_call_loads_no_parser_and_no_json(self, argv):
+        # argparse's import (with gettext and locale) and parsers cost about
+        # 6 ms a call before any arithmetic; json is loaded for JSON output only
+        src = Path(cli.__file__).resolve().parents[1]
+        script = ("import sys; before = set(sys.modules); import gencong.cli; "
+                  f"code = gencong.cli.main({argv!r}); loaded = set(sys.modules) - before; "
+                  "print(code, sorted(loaded & {'argparse', 'gettext', 'locale', 'json'}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -144,7 +144,7 @@ INPUTS = [
     (["verify", "--a", "1...5", "--m", "1..5"], ""),
     (["verify", "--a", "..5", "--m", "1..5"], ""),
     (["verify", "--a", "1..", "--m", "1..5"], ""),
-    # --cap values that argparse's int() takes but the operands refuse
+    # --cap values that int() takes but the operands refuse
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", "٣"], ""),
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", "1_000"], ""),
     (["verify", "--a", "0..1", "--m", "1..2", "--cap", " 5"], ""),
