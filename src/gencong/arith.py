@@ -251,31 +251,41 @@ def _x_double(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
     return s * t % n, (s - t) * (t + a24 * (s - t)) % n
 
 
-def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
-    """``[k]P`` for ``P = (X:Z)`` and ``k >= 1``, by Montgomery's ladder over k's bits.
+def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``([k]P, [k+1]P)`` for ``P = (X:Z)`` and ``k >= 1``, by Montgomery's ladder over k's bits.
 
-    The ladder keeps ``R1 - R0 == P``, so each step is one ``_x_add`` and
-    one ``_x_double``, written out here; the last step updates only ``R0``.
+    ``(R0, R1)`` starts at ``(P, 2P)``, keeps ``R1 - R0 == P``, and a bit takes
+    it to ``(2R0, R0 + R1)`` by ``_x_double`` and ``_x_add`` written out, with
+    the pair swapped before and after a 1 bit, which gives ``(R0 + R1, 2R1)``.
     """
-    bits = bin(k)[3:]
-    if not bits:
-        return X, Z
-    X0, Z0 = X, Z
-    X1, Z1 = _x_double(X, Z, a24, n)
-    for bit in bits[:-1]:
+    X0, Z0, (X1, Z1) = X, Z, _x_double(X, Z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            X0, Z0, X1, Z1 = X1, Z1, X0, Z0
         s0, d0, s1, d1 = X0 + Z0, X0 - Z0, X1 + Z1, X1 - Z1
         u, v = d0 * s1, s0 * d1
+        X1, Z1 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+        s, t = s0 * s0, d0 * d0
+        X0, Z0 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
         if bit == "1":
-            X0, Z0 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
-            s, t = s1 * s1, d1 * d1
-            X1, Z1 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
-        else:
-            X1, Z1 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
-            s, t = s0 * s0, d0 * d0
-            X0, Z0 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
-    if bits[-1] == "1":
-        return _x_add(X0, Z0, X1, Z1, X, Z, n)
-    return _x_double(X0, Z0, a24, n)
+            X0, Z0, X1, Z1 = X1, Z1, X0, Z0
+    return (X0, Z0), (X1, Z1)
+
+
+def _progression(P0: tuple[int, int], P1: tuple[int, int], S: tuple[int, int],
+                 count: int, n: int) -> list[tuple[int, int]]:
+    """The first ``count`` of ``P0, P1, P1 + S, P1 + 2S, ...``, given ``P1 - P0 == S``.
+
+    Each point is the last plus S by differential addition, the one before the difference.
+    """
+    (X0, Z0), (X1, Z1), (XS, ZS) = P0, P1, S
+    sS, dS = XS + ZS, XS - ZS
+    points = [P0, P1]
+    for _ in range(count - 2):  # _x_add written out: as calls, ECM took 6% longer
+        e, f = (X1 - Z1) * sS, (X1 + Z1) * dS
+        X0, Z0, X1, Z1 = X1, Z1, Z0 * (e + f) ** 2 % n, X0 * (e - f) ** 2 % n
+        points.append((X1, Z1))
+    return points[:count]
 
 
 def _ecm_curve(n: int, sigma: int) -> int:
@@ -286,10 +296,12 @@ def _ecm_curve(n: int, sigma: int) -> int:
     of 12: with ``u = sigma**2 - 5`` and ``v = 4 sigma``, the point is
     ``(u**3 : v**3)`` and ``(A + 2) / 4 = (v - u)**3 (3u + v) / (16 u**3 v)``.
     The curve's level, ``(sigma - 6) // _ECM_CURVES``, sets the bounds of its
-    ``_plan``.  Stage 1 takes one ladder per prime power of the plan and
-    ``gcd(Z, n)`` after each.  Stage 2 takes the baby steps ``jQ`` and giant
-    steps ``kDQ`` by differential additions, turns their x-coordinates into
-    ``X / Z`` with one inversion (Montgomery's trick), and hands them to
+    ``_plan``.  Stage 1 takes each prime power q of the plan by a ladder over
+    ``q // 2`` and one ``_x_add`` (odd q) or ``_x_double`` (even q), and
+    ``gcd(Z, n)`` after each.  Stage 2 lists the baby steps ``Q, 3Q, 5Q, ...``
+    and the giant steps ``kDQ`` from the plan's k0 on as two ``_progression``s,
+    turns their x-coordinates into ``X / Z`` with one inversion (Montgomery's
+    trick), and hands them to
     ``_stage_2``: ``x(kDQ) - x(jQ)`` is 0 mod p exactly when the order of Q
     mod p divides ``kD - j`` or ``kD + j``.
     """
@@ -302,29 +314,15 @@ def _ecm_curve(n: int, sigma: int) -> int:
     a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
     X, Z = u**3 % n, v**3 % n
     for q in powers:
-        X, Z = _ladder(q, X, Z, a24, n)
+        (X0, Z0), (X1, Z1) = _ladder(q >> 1, X, Z, a24, n)
+        X, Z = _x_add(X1, Z1, X0, Z0, X, Z, n) if q & 1 else _x_double(X0, Z0, a24, n)
         if (g := math.gcd(Z, n)) != 1:
             return g
-    X2, Z2 = _x_double(X, Z, a24, n)
-    s2, d2 = X2 + Z2, X2 - Z2  # the steps below write out _x_add: as calls, ECM took 6% longer
-    bx, bz = [X, 0], [Z, 0]  # (2i + 1)Q at index i
-    bx[1], bz[1] = _x_add(X2, Z2, X, Z, X, Z, n)
-    for i in range(2, d // 4 + 1):  # (2i + 1)Q = (2i - 1)Q + 2Q, with difference (2i - 3)Q
-        e, f = (bx[i - 1] - bz[i - 1]) * s2, (bx[i - 1] + bz[i - 1]) * d2
-        bx.append(bz[i - 2] * (e + f) ** 2 % n)
-        bz.append(bx[i - 2] * (e - f) ** 2 % n)
-    XD, ZD = _x_double(bx[-1], bz[-1], a24, n)  # D / 2 is odd, so DQ = 2 (D/2)Q
-    sD, dD = XD + ZD, XD - ZD
-    X0, Z0 = _ladder(k0, XD, ZD, a24, n)
-    X1, Z1 = _ladder(k0 + 1, XD, ZD, a24, n)
-    gx, gz = [X0, X1], [Z0, Z1]
-    for _ in range(len(rows) - 2):  # (k + 1)DQ = kDQ + DQ, with difference (k - 1)DQ
-        e, f = (X1 - Z1) * sD, (X1 + Z1) * dD
-        X0, Z0, X1, Z1 = X1, Z1, Z0 * (e + f) ** 2 % n, X0 * (e - f) ** 2 % n
-        gx.append(X1)
-        gz.append(Z1)
-    xs = [bx[j // 2] for j in babies] + gx[:len(rows)]
-    zs = [bz[j // 2] for j in babies] + gz[:len(rows)]
+    Q2 = _x_double(X, Z, a24, n)
+    baby = _progression((X, Z), _x_add(*Q2, X, Z, X, Z, n), Q2, d // 4 + 1, n)  # (2i + 1)Q at i
+    QD = _x_double(*baby[-1], a24, n)  # D / 2 is odd, so DQ = 2 (D/2)Q
+    giants = _progression(*_ladder(k0, *QD, a24, n), QD, len(rows), n)
+    xs, zs = map(list, zip(*[baby[j // 2] for j in babies], *giants))
     prods = [1, *accumulate(zs, lambda a, b: a * b % n)]  # prods[i] = prod(zs[:i]) mod n
     if (g := math.gcd(prods[-1], n)) != 1:
         return g

@@ -5,10 +5,10 @@ ASCII digits after an optional ``-``.  ``_is_integer`` checks every operand
 but ``pow``'s ``N``, whose digits after any ``-`` go through the library's
 ``_checked_exponent``: the one scan of them, so a long ``N`` is folded in
 linear time and never converted to an int.  Exit codes: 0 success, 1
-usage/parse error, 2 domain error (a ``ValueError`` from the library, e.g.
-zero modulus), 3 verification failure (including a ``CertificateError``
-from ``solve``), 141 stdout closed early (as a shell reports a writer
-killed by SIGPIPE).
+usage/parse error (also batch mode on a closed stdin), 2 domain error (a
+``ValueError`` from the library, e.g. zero modulus), 3 verification failure
+(including a ``CertificateError`` from ``solve``), 141 stdout closed, early
+or before the call starts (as a shell reports a writer killed by SIGPIPE).
 
 ``_COMMANDS`` is the one list of commands, with each one's handler,
 operands, options and help; ``_parse_args`` reads argv against it in one
@@ -251,6 +251,8 @@ def _pow_batch() -> int:
     highest code of any line.  Stdin is decoded with ``surrogateescape`` in
     every locale, so a byte that does not decode fails its own line only.
     """
+    if sys.stdin is None:  # fd 0 was closed when Python started
+        raise CliError(EXIT_USAGE, "batch mode reads stdin, which is closed")
     worst = EXIT_OK
     write = sys.stdout.write
     if hasattr(sys.stdin, "reconfigure"):
@@ -451,6 +453,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if sys.stdout is None:  # fd 1 was closed when Python started: nothing can be printed
+            return EXIT_BROKEN_PIPE
         code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code

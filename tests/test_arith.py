@@ -604,12 +604,12 @@ class TestEcm:
         assert B * (A * A - 4) % p
         a24 = (A + 2) * pow(4, -1, p) % p
         for k in range(1, 501):
-            expected = affine_multiple(k, (x0, 1), A, B, p)
-            X, Z = arith._ladder(k, x0 * scale, scale, a24, p)
-            if expected is None:
-                assert Z % p == 0, k
-            else:
-                assert Z % p and X * pow(Z, -1, p) % p == expected[0], k
+            for j, (X, Z) in enumerate(arith._ladder(k, x0 * scale, scale, a24, p)):
+                expected = affine_multiple(k + j, (x0, 1), A, B, p)  # [k]P, then [k+1]P
+                if expected is None:
+                    assert Z % p == 0, (k, j)
+                else:
+                    assert Z % p and X * pow(Z, -1, p) % p == expected[0], (k, j)
 
     def test_each_stage_finds_exactly_the_primes_whose_point_order_it_covers(self):
         # Suyama's point Q for sigma = 6 has order o mod p, found here without

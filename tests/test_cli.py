@@ -675,6 +675,28 @@ class TestChainJsonLayout:
         self.assert_layouts(a, str(huge), m, huge, -huge)
 
 
+class TestClosedStreams:
+    """Python sets ``sys.stdout`` or ``sys.stdin`` to None when fd 1 or fd 0 is closed at start."""
+
+    @pytest.mark.parametrize("argv", [["pow", "2", "3", "5"], ["totient", "12", "--json"], ["pow"]],
+                             ids=["text", "json", "batch"])
+    def test_closed_stdout_exits_141_before_any_arithmetic(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("arithmetic ran with stdout closed")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        monkeypatch.setattr(cli, "factorize", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 3 5\n"))
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_batch_mode_on_a_closed_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(capsys, "pow") == (
+            EXIT_USAGE, "", "gencong: error: batch mode reads stdin, which is closed\n")
+
+
 class TestModuleEntryPoint:
     def test_import_leaves_json_unloaded(self):
         # records are f-strings; only error records and the totient and
@@ -733,6 +755,15 @@ class TestModuleEntryPoint:
         assert second == {"line": 2, "error": "a must be a decimal integer, got '\\udcff'",
                           "code": EXIT_USAGE}
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("command, code, err", [
+        ("pow 2 3 5 >&-", EXIT_BROKEN_PIPE, ""),
+        ("pow <&-", EXIT_USAGE, "gencong: error: batch mode reads stdin, which is closed\n"),
+    ], ids=["stdout", "stdin"])
+    def test_a_stream_closed_at_start_ends_without_a_traceback(self, command, code, err):
+        proc = subprocess.run(["sh", "-c", f'"$0" -m gencong {command}', sys.executable],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # far more output than a pipe buffers, so writes fail once the
