@@ -9,6 +9,7 @@ usage/parse error (also batch mode on a closed stdin), 2 domain error (a
 ``ValueError`` from the library, e.g. zero modulus), 3 verification failure
 (including a ``CertificateError`` from ``solve``), 141 stdout closed, early
 or before the call starts (as a shell reports a writer killed by SIGPIPE).
+A closed stderr drops the error line and keeps the error's exit code.
 
 ``_COMMANDS`` is the one list of commands, with each one's handler,
 operands, options and help; ``_parse_args`` reads argv against it in one
@@ -22,10 +23,10 @@ characters finds ``N`` between its first and last fields
 (``_batch_fields``), so splitting it does not scan ``N`` either; only a
 failed line is split whole, to report a wrong field count.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
-per ``(m, gcd(a, m))`` class and evaluates both sides once per distinct
-residue ``a mod |m|`` in each block of bases; a failing pair's witness is
-its own chain, and under ``--json`` it is the ``reduce`` JSON object plus
-``lhs``/``rhs``.
+per ``(m, gcd(a, m))`` class and evaluates both sides once per ± pair
+``r``, ``|m| - r`` of distinct residues ``a mod |m|`` in each block of
+bases; a failing pair's witness is its own chain, and under ``--json`` it
+is the ``reduce`` JSON object plus ``lhs``/``rhs``.
 
 Records are f-strings laid out exactly as ``json.dumps`` would lay them
 out.  ``_chain_json`` is the one serializer of a chain: ``reduce --json``
@@ -459,7 +460,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
     except (CliError, ValueError, CertificateError) as err:
-        print(f"gencong: error: {err}", file=sys.stderr)
+        # with fd 2 closed (`2>&-`), sys.stderr is None, or a stream whose
+        # writes fail with EBADF; the exit code still tells what failed
+        try:
+            if sys.stderr is not None:  # print(file=None) would write to stdout
+                print(f"gencong: error: {err}", file=sys.stderr)
+        except OSError:
+            pass
         return _exit_code(err)
     except BrokenPipeError:  # e.g. `| head -1`; fd 1 -> devnull so the exit flush can't fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)

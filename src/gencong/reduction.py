@@ -166,12 +166,13 @@ def verify_theorem(a: int, m: int) -> TheoremCheck:
     """Check ``a**(phi(m_s)+s) == a**s (mod |m|)`` by direct evaluation.
 
     Holds for every ``a`` and ``m != 0``; a falsy result means the library
-    itself is broken.
+    itself is broken.  :func:`verify_sweep` calls it once per
+    ``(m, gcd(a, m))`` class, on the residue ``a mod |m|``.
     """
     chain = build_chain(a, m)
     lhs = mod_pow(a, chain.phi_ms + chain.s, chain.m_norm)
     rhs = mod_pow(a, chain.s, chain.m_norm)
-    return TheoremCheck(ok=lhs == rhs, lhs=lhs, rhs=rhs, chain=chain)
+    return _new_record(TheoremCheck, (lhs == rhs, lhs, rhs, chain))
 
 
 def verify_sweep(a_values: Sequence[int],
@@ -183,10 +184,13 @@ def verify_sweep(a_values: Sequence[int],
     ``pow(a, e, |m|) == pow(r, e, |m|)`` and ``gcd(a, m) == gcd(r, m)``, so
     every pair's verdict is its residue's.  For each modulus the bases are
     read in blocks of :data:`_SWEEP_BLOCK`, and both sides are evaluated
-    once for each distinct residue of the block.  The chain depends on ``a``
-    only through ``g = gcd(a, m)``, so the first pair of each class
-    ``(m, g)`` goes through :func:`verify_theorem`, and every later residue
-    is checked with that class's exponents ``phi_ms + s`` and ``s``.  Each
+    once for each ± pair of distinct residues in the block: ``-r`` has
+    ``r``'s gcd, and ``(-r)**e == (-1)**e * r**e``, so the powers of ``r``
+    give those of its mirror ``|m| - r`` by a sign.  A residue whose mirror
+    is not in the block is evaluated on its own.  The chain depends on
+    ``a`` only through ``g = gcd(a, m)``, so the first residue of each class
+    ``(m, g)`` goes through :func:`verify_theorem`, and every later one is
+    checked with that class's exponents ``phi_ms + s`` and ``s``.  Each
     pair whose residue fails gets its own chain as the witness.  Memory
     holds one block and one modulus's classes at a time, whatever the
     ranges; ``a_values`` is sliced anew for each modulus, so it must be a
@@ -204,25 +208,41 @@ def verify_sweep(a_values: Sequence[int],
         offset = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
         while block := a_values[offset:offset + _SWEEP_BLOCK]:
             residues = [a % m_norm for a in block]
-            for r in dict.fromkeys(residues):
+            distinct = dict.fromkeys(residues)
+            for r in distinct:
+                mirror = m_norm - r
+                paired = mirror in distinct  # false for 0, whose mirror is |m|
+                if paired and mirror < r:
+                    continue  # evaluated with its mirror
                 g = gcd(r, m_norm)
                 known = exponents.get(g)
                 if known is None:
-                    check = verify_theorem(block[residues.index(r)], m)
-                    exponents[g] = (check.chain.phi_ms + check.chain.s, check.chain.s)
+                    check = verify_theorem(r, m)
+                    high, low = exponents[g] = (check.chain.phi_ms + check.chain.s,
+                                                check.chain.s)
                     lhs, rhs = check.lhs, check.rhs
                 else:
                     high, low = known
                     lhs = pow(r, high, m_norm)
                     rhs = pow(r, low, m_norm)
                 if lhs != rhs:
-                    failures += ((offset + j, TheoremCheck(
-                        ok=False, lhs=lhs, rhs=rhs, chain=build_chain(block[j], m)))
-                        for j, x in enumerate(residues) if x == r)
+                    failures += _witnesses(block, residues, r, lhs, rhs, m, offset)
+                if paired and mirror > r:  # not |m| / 2, its own mirror
+                    lhs = -lhs % m_norm if high & 1 else lhs
+                    rhs = -rhs % m_norm if low & 1 else rhs
+                    if lhs != rhs:
+                        failures += _witnesses(block, residues, mirror, lhs, rhs, m, offset)
             offset += len(block)
         checked += offset
     failures.sort(key=lambda failure: failure[0])  # stable: m order kept within one a
     return checked, [check for _, check in failures]
+
+
+def _witnesses(block: Sequence[int], residues: list[int], r: int, lhs: int, rhs: int,
+               m: int, offset: int) -> list[tuple[int, TheoremCheck]]:
+    """``(position, failing check)`` for each base of ``block`` with residue ``r``."""
+    return [(offset + j, _new_record(TheoremCheck, (False, lhs, rhs, build_chain(block[j], m))))
+            for j, x in enumerate(residues) if x == r]
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:

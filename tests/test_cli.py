@@ -675,8 +675,16 @@ class TestChainJsonLayout:
         self.assert_layouts(a, str(huge), m, huge, -huge)
 
 
+class _BadDescriptor(io.StringIO):
+    """A stream on a closed descriptor: every write fails with EBADF."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
 class TestClosedStreams:
-    """Python sets ``sys.stdout`` or ``sys.stdin`` to None when fd 1 or fd 0 is closed at start."""
+    """Python sets ``sys.stdout``, ``sys.stdin`` or ``sys.stderr`` to None when fd 1, 0 or 2 is
+    closed at start; a stream made on a descriptor closed later fails its writes instead."""
 
     @pytest.mark.parametrize("argv", [["pow", "2", "3", "5"], ["totient", "12", "--json"], ["pow"]],
                              ids=["text", "json", "batch"])
@@ -695,6 +703,15 @@ class TestClosedStreams:
         monkeypatch.setattr(sys, "stdin", None)
         assert run_cli(capsys, "pow") == (
             EXIT_USAGE, "", "gencong: error: batch mode reads stdin, which is closed\n")
+
+    @pytest.mark.parametrize("stderr", [None, _BadDescriptor()], ids=["none", "ebadf"])
+    @pytest.mark.parametrize("argv, code", [(["reduce", "6", "0"], EXIT_DOMAIN),
+                                            (["reduce", "x", "0"], EXIT_USAGE)],
+                             ids=["domain", "usage"])
+    def test_closed_stderr_keeps_the_exit_code(self, capsys, monkeypatch, stderr, argv, code):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
 
 
 class TestModuleEntryPoint:
@@ -759,7 +776,10 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("command, code, err", [
         ("pow 2 3 5 >&-", EXIT_BROKEN_PIPE, ""),
         ("pow <&-", EXIT_USAGE, "gencong: error: batch mode reads stdin, which is closed\n"),
-    ], ids=["stdout", "stdin"])
+        # the error line cannot be written, and the exit code is still the error's
+        ("reduce 6 0 2>&-", EXIT_DOMAIN, ""),
+        ("reduce x 0 2>&-", EXIT_USAGE, ""),
+    ], ids=["stdout", "stdin", "stderr-domain", "stderr-usage"])
     def test_a_stream_closed_at_start_ends_without_a_traceback(self, command, code, err):
         proc = subprocess.run(["sh", "-c", f'"$0" -m gencong {command}', sys.executable],
                               capture_output=True, text=True)

@@ -601,16 +601,19 @@ class TestVerifySweep:
         assert verify_sweep(a_values, m_values) == (101 * 40, [])
         classes = {(m, math.gcd(a, m)) for a in a_values for m in m_values}
         assert len(calls) == len(classes)
-        # each class is checked through its first member in a-major order
         assert {(m, math.gcd(a, m)) for a, m in calls} == classes
-        assert all(a == min(b for b in a_values if math.gcd(b, m) == math.gcd(a, m))
-                   for a, m in calls)
+        # each class is checked through a residue, not a base of the range
+        assert all(0 <= r < abs(m) for r, m in calls)
 
     @pytest.mark.parametrize("block", [1, 7, reduction._SWEEP_BLOCK])
     @settings(max_examples=150, deadline=None)
     @given(small_ranges | base_tuples, small_ranges | moduli_tuples)
     @example(range(-20, 21), range(-27, 28))
     @example((5, 5, -4, 5, 14, 5), (9, -9, 0, 9))
+    # residue 3 mod 7 without its mirror 4, which fails under the wrong totient
+    @example((3, 10, 17, -4), (7, -7, 9))
+    # m_s of 1 (bases 6, 12) and 2 (bases 3, 15, -3): phi_ms + s and s differ in parity
+    @example((6, 12, 3, 15, -3), (18, -18, 36))
     def test_matches_pairwise_checks_across_blocks(self, block, a_values, m_values):
         with pytest.MonkeyPatch.context() as monkeypatch:
             _wrong_totient(monkeypatch)
@@ -621,11 +624,12 @@ class TestVerifySweep:
 
     def test_one_pair_of_powers_per_residue(self, monkeypatch):
         # 4001 consecutive bases hold every residue mod m <= 100 about 4001 / m
-        # times; each is evaluated once, whether by verify_theorem or the sweep
+        # times; each ± pair (r, m - r) is evaluated once, whether by
+        # verify_theorem or the sweep: m // 2 + 1 pairs, counting 0 and m / 2
         calls = []
         for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
             monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
                                 or real(*args), raising=False)
         m_values = range(1, 101)
         assert verify_sweep(range(-2000, 2001), m_values) == (4001 * 100, [])
-        assert len(calls) <= 2 * sum(min(m, 4001) for m in m_values)
+        assert len(calls) <= 2 * sum(m // 2 + 1 for m in m_values)
