@@ -25,8 +25,10 @@ failed line is split whole, to report a wrong field count.
 ``verify`` goes through ``reduction.verify_sweep``, which builds one chain
 per ``(m, gcd(a, m))`` class and evaluates both sides once per ± pair
 ``r``, ``|m| - r`` of distinct residues ``a mod |m|`` in each block of
-bases; a failing pair's witness is its own chain, and under ``--json`` it
-is the ``reduce`` JSON object plus ``lhs``/``rhs``.
+bases, read from the block's bounds when it is at least ``|m|`` long; a
+failing pair's witness is its own chain, and under ``--json`` it is the
+``reduce`` JSON object plus ``lhs``/``rhs``.  The ``--cap`` count leaves
+out the pairs with ``m = 0``, which the sweep skips.
 
 Records are f-strings laid out exactly as ``json.dumps`` would lay them
 out.  ``_chain_json`` is the one serializer of a chain: ``reduce --json``
@@ -65,7 +67,7 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_BROKEN_PIPE = 141
 
-#: verify refuses range products above this unless --cap raises it.
+#: verify refuses sweeps of more pairs than this unless --cap raises it.
 DEFAULT_VERIFY_CAP = 10**6
 
 
@@ -292,8 +294,9 @@ def cmd_verify(args: SimpleNamespace) -> int:
     m_range = _parse_range(args.m, "--m")
     if all(m == 0 for m in m_range):
         raise CliError(EXIT_USAGE, "--m range contains no nonzero modulus")
-    # stop - start, not len(): len() overflows past sys.maxsize
-    total = (a_range.stop - a_range.start) * (m_range.stop - m_range.start)
+    # the pairs the sweep checks, m = 0 skipped; stop - start, not len(),
+    # which overflows past sys.maxsize
+    total = (a_range.stop - a_range.start) * (m_range.stop - m_range.start - (0 in m_range))
     if total > args.cap:
         raise CliError(
             EXIT_USAGE,

@@ -46,7 +46,7 @@ decimal string to int in time quadratic in its length.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Container, Iterable, Sequence
 from math import gcd
 from typing import NamedTuple
 
@@ -70,8 +70,8 @@ __all__ = [
 #: chunks pay the quadratic conversion, shorter ones more Python-level steps.
 CHUNK_DIGITS = 300
 
-#: Bases per block in :func:`verify_sweep`: the sweep holds one block's
-#: residues at a time, and evaluates each distinct one once per block.
+#: Bases per block in :func:`verify_sweep`: the sweep holds at most one
+#: block's residues at a time, and evaluates each ± pair once per block.
 _SWEEP_BLOCK = 4096
 
 
@@ -187,14 +187,17 @@ def verify_sweep(a_values: Sequence[int],
     once for each ± pair of distinct residues in the block: ``-r`` has
     ``r``'s gcd, and ``(-r)**e == (-1)**e * r**e``, so the powers of ``r``
     give those of its mirror ``|m| - r`` by a sign.  A residue whose mirror
-    is not in the block is evaluated on its own.  The chain depends on
-    ``a`` only through ``g = gcd(a, m)``, so the first residue of each class
-    ``(m, g)`` goes through :func:`verify_theorem`, and every later one is
-    checked with that class's exponents ``phi_ms + s`` and ``s``.  Each
-    pair whose residue fails gets its own chain as the witness.  Memory
-    holds one block and one modulus's classes at a time, whatever the
-    ranges; ``a_values`` is sliced anew for each modulus, so it must be a
-    sequence, not a one-shot iterator.
+    is not in the block is evaluated on its own.  A block of a ``range`` at
+    least ``|m|`` long whose step is coprime to ``|m|`` holds every residue,
+    so its pairs come from its bounds and no base is reduced: for ranges the
+    cost follows ``min(#bases, |m|)`` per block, not the pairs.  The chain
+    depends on ``a`` only through ``g = gcd(a, m)``, so the first residue of
+    each class ``(m, g)`` goes through :func:`verify_theorem`, and every
+    later one is checked with that class's exponents ``phi_ms + s`` and
+    ``s``.  Each pair whose residue fails gets its own chain as the
+    witness.  Memory holds one block and one modulus's classes at a time,
+    whatever the ranges; ``a_values`` is sliced anew for each modulus, so
+    it must be a sequence, not a one-shot iterator.
     """
     if iter(a_values) is a_values:
         raise TypeError("a_values must be a sequence such as a range, not an iterator")
@@ -207,13 +210,9 @@ def verify_sweep(a_values: Sequence[int],
         exponents: dict[int, tuple[int, int]] = {}  # g -> (phi_ms + s, s)
         offset = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
         while block := a_values[offset:offset + _SWEEP_BLOCK]:
-            residues = [a % m_norm for a in block]
-            distinct = dict.fromkeys(residues)
-            for r in distinct:
-                mirror = m_norm - r
-                paired = mirror in distinct  # false for 0, whose mirror is |m|
-                if paired and mirror < r:
-                    continue  # evaluated with its mirror
+            present, pairs = _residue_pairs(block, m_norm)
+            failing: dict[int, tuple[int, int]] = {}  # residue -> (lhs, rhs)
+            for r in pairs:
                 g = gcd(r, m_norm)
                 known = exponents.get(g)
                 if known is None:
@@ -226,23 +225,46 @@ def verify_sweep(a_values: Sequence[int],
                     lhs = pow(r, high, m_norm)
                     rhs = pow(r, low, m_norm)
                 if lhs != rhs:
-                    failures += _witnesses(block, residues, r, lhs, rhs, m, offset)
-                if paired and mirror > r:  # not |m| / 2, its own mirror
+                    failing[r] = lhs, rhs
+                mirror = m_norm - r
+                if mirror > r and mirror in present:  # not 0 or |m| / 2, their own mirrors
                     lhs = -lhs % m_norm if high & 1 else lhs
                     rhs = -rhs % m_norm if low & 1 else rhs
                     if lhs != rhs:
-                        failures += _witnesses(block, residues, mirror, lhs, rhs, m, offset)
+                        failing[mirror] = lhs, rhs
+            if failing:
+                failures += _witnesses(block, m, offset, failing)
             offset += len(block)
         checked += offset
     failures.sort(key=lambda failure: failure[0])  # stable: m order kept within one a
     return checked, [check for _, check in failures]
 
 
-def _witnesses(block: Sequence[int], residues: list[int], r: int, lhs: int, rhs: int,
-               m: int, offset: int) -> list[tuple[int, TheoremCheck]]:
-    """``(position, failing check)`` for each base of ``block`` with residue ``r``."""
-    return [(offset + j, _new_record(TheoremCheck, (False, lhs, rhs, build_chain(block[j], m))))
-            for j, x in enumerate(residues) if x == r]
+def _residue_pairs(block: Sequence[int],
+                   m_norm: int) -> tuple[Container[int], Iterable[int]]:
+    """The residues mod ``m_norm`` in ``block``, and one residue of each ± pair of them.
+
+    A ``range`` at least ``m_norm`` long whose step is coprime to ``m_norm``
+    is a complete residue system, so both come from ``m_norm`` alone.
+    Otherwise each base is reduced, and a residue is kept when it is at most
+    its mirror or its mirror is absent.
+    """
+    if isinstance(block, range) and len(block) >= m_norm and gcd(block.step, m_norm) == 1:
+        return range(m_norm), range(m_norm // 2 + 1)
+    present = dict.fromkeys([a % m_norm for a in block])
+    return present, [r for r in present if r <= m_norm - r or m_norm - r not in present]
+
+
+def _witnesses(block: Sequence[int], m: int, offset: int,
+               failing: dict[int, tuple[int, int]]) -> list[tuple[int, TheoremCheck]]:
+    """``(position, failing check)`` for each base of ``block`` whose residue is in ``failing``.
+
+    ``failing`` maps a residue to its ``(lhs, rhs)``; the block is reduced
+    in one scan, whatever the number of failing residues.
+    """
+    m_norm = abs(m)
+    return [(offset + j, _new_record(TheoremCheck, (False, *failing[r], build_chain(a, m))))
+            for j, a in enumerate(block) if (r := a % m_norm) in failing]
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:

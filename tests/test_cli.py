@@ -367,6 +367,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.strip() == "9900 checked, 0 failures"
 
+    def test_cap_counts_only_the_pairs_checked(self, capsys):
+        # m = 0 is skipped, so --m -1..1 with one base is 2 pairs, not 3
+        code, out, err = run_cli(capsys, "verify", "--a", "0..0", "--m", "-1..1", "--cap", "2")
+        assert (code, out, err) == (EXIT_OK, "2 checked, 0 failures\n", "")
+        code, out, err = run_cli(capsys, "verify", "--a", "0..0", "--m", "-1..1", "--cap", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("gencong: error: 2 pairs exceed the safety cap of 1; "
+                       "raise --cap to allow this\n")
+
     def test_range_longer_than_maxsize_hits_cap(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--a", "0..99999999999999999999", "--m", "1..2")
         assert code == EXIT_USAGE

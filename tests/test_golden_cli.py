@@ -165,6 +165,9 @@ INPUTS = [
     (["verify", "--a=1..2", "--m=1..2", "--cap=x"], ""),
     (["pow", "--", "-3", "5", "7"], ""),
     (["reduce", "6", "105765", "--trace"], ""),
+    # the cap counts only the pairs checked: m = 0 is skipped, so 2 here
+    (["verify", "--a", "0..0", "--m", "-1..1", "--cap", "2"], ""),
+    (["verify", "--a", "0..0", "--m", "-1..1", "--cap", "1"], ""),
 ]
 
 

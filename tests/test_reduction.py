@@ -614,6 +614,16 @@ class TestVerifySweep:
     @example((3, 10, 17, -4), (7, -7, 9))
     # m_s of 1 (bases 6, 12) and 2 (bases 3, 15, -3): phi_ms + s and s differ in parity
     @example((6, 12, 3, 15, -3), (18, -18, 36))
+    # ranges one short of |m|, exactly |m| and one past it: in a block of at
+    # least |m| bases, only the last two are read from their bounds
+    @example(range(-4, 4), (9, -9))
+    @example(range(-4, 5), (9, -9))
+    @example(range(-4, 6), (9, -9))
+    # steps 1, -1 and 7 are coprime to 9; step 3 is not, and takes the dict path
+    @example(range(-10, 10), (9, -9))
+    @example(range(10, -10, -1), (9, -9))
+    @example(range(-30, 40, 7), (9, -9))
+    @example(range(-30, 30, 3), (9, -9))
     def test_matches_pairwise_checks_across_blocks(self, block, a_values, m_values):
         with pytest.MonkeyPatch.context() as monkeypatch:
             _wrong_totient(monkeypatch)
@@ -621,6 +631,45 @@ class TestVerifySweep:
             expected = _pairwise_failures(a_values, m_values)
             pairs = len(a_values) * sum(m != 0 for m in m_values)
             assert verify_sweep(a_values, m_values) == (pairs, expected)
+
+    @pytest.mark.parametrize("block, m, present, pairs", [
+        (range(-4, 5), 9, range(9), range(5)),
+        (range(10, -10, -1), 9, range(9), range(5)),
+        (range(-30, 40, 7), -9, range(9), range(5)),
+        (range(-4, 5), 1, range(1), range(1)),
+        (range(-4, 4), 9, dict.fromkeys((5, 6, 7, 8, 0, 1, 2, 3)), [5, 0, 1, 2, 3]),
+        (range(-30, 30, 3), 9, dict.fromkeys((6, 0, 3)), [0, 3]),
+        ((4, 5, 4, 7), 9, dict.fromkeys((4, 5, 7)), [4, 7]),
+    ], ids=["length |m|", "step -1", "step 7, m < 0", "m = 1", "length |m| - 1", "step 3",
+            "tuple"])
+    def test_residue_pairs_of_a_block(self, block, m, present, pairs):
+        # a range at least |m| long with a step coprime to |m| is a complete
+        # residue system, read from its bounds; any other block is reduced
+        assert reduction._residue_pairs(block, abs(m)) == (present, pairs)
+
+    def test_a_failing_residue_recurs_across_covering_blocks(self, monkeypatch):
+        # two blocks of 7 consecutive bases, each a complete residue system
+        # mod 7; residues 3, 5 and 6 fail under the wrong totient in both,
+        # and the witnesses of both blocks come out in a-major order
+        _wrong_totient(monkeypatch)
+        monkeypatch.setattr(reduction, "_SWEEP_BLOCK", 7)
+        a_values, m_values = range(-4, 10), (7, -7)
+        checked, failures = verify_sweep(a_values, m_values)
+        assert (checked, failures) == (28, _pairwise_failures(a_values, m_values))
+        assert [(c.chain.a_input, c.chain.m_input) for c in failures] == [
+            (a, m) for a in (-4, -2, -1, 3, 5, 6) for m in m_values]
+
+    def test_multi_block_covering_sweep(self, monkeypatch):
+        # 10**6 pairs: 25 blocks per modulus, each read from its bounds, so
+        # the powers follow the ± pairs of residues per block, not the bases
+        calls = []
+        for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
+            monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
+                                or real(*args), raising=False)
+        m_values = range(1, 11)
+        assert verify_sweep(range(-50000, 50000), m_values) == (1000000, [])
+        blocks = -(-100000 // reduction._SWEEP_BLOCK)
+        assert len(calls) <= 2 * blocks * sum(m // 2 + 1 for m in m_values)
 
     def test_one_pair_of_powers_per_residue(self, monkeypatch):
         # 4001 consecutive bases hold every residue mod m <= 100 about 4001 / m
