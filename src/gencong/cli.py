@@ -22,13 +22,17 @@ order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
 characters finds ``N`` between its first and last fields
 (``_batch_fields``), so splitting it does not scan ``N`` either; only a
 failed line is split whole, to report a wrong field count.
-``verify`` goes through ``reduction.verify_sweep``, which builds one chain
-per ``(m, gcd(a, m))`` class and evaluates both sides once per ± pair
-``r``, ``|m| - r`` of distinct residues ``a mod |m|`` in each block of
-bases, read from the block's bounds when it is at least ``|m|`` long; a
-failing pair's witness is its own chain, and under ``--json`` it is the
+``verify`` goes through ``reduction.verify_sweep``, which decides each
+modulus once: it builds one chain per ``(m, gcd(a, m))`` class and
+evaluates both sides once per ± pair ``r``, ``|m| - r`` of distinct
+residues ``a mod |m|`` among the first ``|m|`` bases of the ``--a`` range,
+read from their bounds, so its cost follows ``min(#bases, |m|)`` per
+modulus.  Only when a residue fails does one more scan of the range give
+each failing pair its witness: its own chain, and under ``--json`` the
 ``reduce`` JSON object plus ``lhs``/``rhs``.  The ``--cap`` count leaves
-out the pairs with ``m = 0``, which the sweep skips.
+out the pairs with ``m = 0``, which the sweep skips; an ``--a`` range of
+more than ``sys.maxsize`` bases, which the sweep cannot count, is a usage
+error.
 
 Records are f-strings laid out exactly as ``json.dumps`` would lay them
 out.  ``_chain_json`` is the one serializer of a chain: ``reduce --json``
@@ -296,12 +300,16 @@ def cmd_verify(args: SimpleNamespace) -> int:
         raise CliError(EXIT_USAGE, "--m range contains no nonzero modulus")
     # the pairs the sweep checks, m = 0 skipped; stop - start, not len(),
     # which overflows past sys.maxsize
-    total = (a_range.stop - a_range.start) * (m_range.stop - m_range.start - (0 in m_range))
+    bases = a_range.stop - a_range.start
+    total = bases * (m_range.stop - m_range.start - (0 in m_range))
     if total > args.cap:
         raise CliError(
             EXIT_USAGE,
             f"{total} pairs exceed the safety cap of {args.cap}; raise --cap to allow this",
         )
+    if bases > sys.maxsize:  # verify_sweep counts the bases with len()
+        raise CliError(EXIT_USAGE, f"--a range holds {bases} bases, more than the "
+                                   f"{sys.maxsize} verify can count")
     checked, failures = verify_sweep(a_range, m_range)
     return _emit(args, lambda: (
         f'{{"checked": {checked}, "failures": {len(failures)}, "witnesses": ['

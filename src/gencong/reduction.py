@@ -71,7 +71,8 @@ __all__ = [
 CHUNK_DIGITS = 300
 
 #: Bases per block in :func:`verify_sweep`: the sweep holds at most one
-#: block's residues at a time, and evaluates each ± pair once per block.
+#: block's residues at a time, and evaluates each ± pair once per block; a
+#: range gives each modulus only its first ``|m|`` bases, one period or more.
 _SWEEP_BLOCK = 4096
 
 
@@ -182,36 +183,40 @@ def verify_sweep(a_values: Sequence[int],
     Returns the number of pairs checked and the falsy checks, in a-major
     order.  Both sides depend on ``a`` only through ``r = a mod |m|``:
     ``pow(a, e, |m|) == pow(r, e, |m|)`` and ``gcd(a, m) == gcd(r, m)``, so
-    every pair's verdict is its residue's.  For each modulus the bases are
+    every pair's verdict is its residue's.  Each modulus is decided once,
+    on its bases: the first ``|m|`` of a ``range``, whose residues repeat
+    with a period dividing ``|m|``, or all of any other sequence.  These are
     read in blocks of :data:`_SWEEP_BLOCK`, and both sides are evaluated
-    once for each ± pair of distinct residues in the block: ``-r`` has
+    once for each ± pair of distinct residues in a block: ``-r`` has
     ``r``'s gcd, and ``(-r)**e == (-1)**e * r**e``, so the powers of ``r``
     give those of its mirror ``|m| - r`` by a sign.  A residue whose mirror
-    is not in the block is evaluated on its own.  A block of a ``range`` at
-    least ``|m|`` long whose step is coprime to ``|m|`` holds every residue,
-    so its pairs come from its bounds and no base is reduced: for ranges the
-    cost follows ``min(#bases, |m|)`` per block, not the pairs.  The chain
+    is not in the block is evaluated on its own.  A block of a ``range``
+    ``|m|`` long whose step is coprime to ``|m|`` holds every residue, so
+    its pairs come from its bounds and no base is reduced: for a range the
+    cost follows ``min(#bases, |m|)`` per modulus, not the pairs.  The chain
     depends on ``a`` only through ``g = gcd(a, m)``, so the first residue of
     each class ``(m, g)`` goes through :func:`verify_theorem`, and every
     later one is checked with that class's exponents ``phi_ms + s`` and
-    ``s``.  Each pair whose residue fails gets its own chain as the
-    witness.  Memory holds one block and one modulus's classes at a time,
-    whatever the ranges; ``a_values`` is sliced anew for each modulus, so
-    it must be a sequence, not a one-shot iterator.
+    ``s``.  Only when some residue fails is ``a_values`` scanned, once, in
+    a-major order, and each pair whose residue fails gets its own chain as
+    the witness.  Memory holds one block, one modulus's classes and the
+    failing residues, whatever the ranges.  ``a_values`` is read anew for
+    each modulus, so it must be a sequence, not a one-shot iterator, and
+    ``len(a_values)`` counts it, so it holds at most ``sys.maxsize`` bases.
     """
     if iter(a_values) is a_values:
         raise TypeError("a_values must be a sequence such as a range, not an iterator")
     checked = 0
-    failures: list[tuple[int, TheoremCheck]] = []
+    failed: list[tuple[int, int, dict[int, tuple[int, int]]]] = []  # (m, |m|, failing)
     for m in m_values:
         if m == 0:
             continue
         m_norm = abs(m)
+        bases = a_values[:m_norm] if isinstance(a_values, range) else a_values
         exponents: dict[int, tuple[int, int]] = {}  # g -> (phi_ms + s, s)
-        offset = 0  # pairs seen for this m; not len(a_values), which overflows past sys.maxsize
-        while block := a_values[offset:offset + _SWEEP_BLOCK]:
-            present, pairs = _residue_pairs(block, m_norm)
-            failing: dict[int, tuple[int, int]] = {}  # residue -> (lhs, rhs)
+        failing: dict[int, tuple[int, int]] = {}  # residue -> (lhs, rhs)
+        for offset in range(0, len(bases), _SWEEP_BLOCK):
+            present, pairs = _residue_pairs(bases[offset:offset + _SWEEP_BLOCK], m_norm)
             for r in pairs:
                 g = gcd(r, m_norm)
                 known = exponents.get(g)
@@ -232,12 +237,14 @@ def verify_sweep(a_values: Sequence[int],
                     rhs = -rhs % m_norm if low & 1 else rhs
                     if lhs != rhs:
                         failing[mirror] = lhs, rhs
-            if failing:
-                failures += _witnesses(block, m, offset, failing)
-            offset += len(block)
-        checked += offset
-    failures.sort(key=lambda failure: failure[0])  # stable: m order kept within one a
-    return checked, [check for _, check in failures]
+        if failing:
+            failed.append((m, m_norm, failing))
+        checked += len(a_values)
+    if not failed:  # a sweep with no failures never walks a long range
+        return checked, []
+    return checked, [_new_record(TheoremCheck, (False, *failing[r], build_chain(a, m)))
+                     for a in a_values for m, m_norm, failing in failed
+                     if (r := a % m_norm) in failing]
 
 
 def _residue_pairs(block: Sequence[int],
@@ -253,18 +260,6 @@ def _residue_pairs(block: Sequence[int],
         return range(m_norm), range(m_norm // 2 + 1)
     present = dict.fromkeys([a % m_norm for a in block])
     return present, [r for r in present if r <= m_norm - r or m_norm - r not in present]
-
-
-def _witnesses(block: Sequence[int], m: int, offset: int,
-               failing: dict[int, tuple[int, int]]) -> list[tuple[int, TheoremCheck]]:
-    """``(position, failing check)`` for each base of ``block`` whose residue is in ``failing``.
-
-    ``failing`` maps a residue to its ``(lhs, rhs)``; the block is reduced
-    in one scan, whatever the number of failing residues.
-    """
-    m_norm = abs(m)
-    return [(offset + j, _new_record(TheoremCheck, (False, *failing[r], build_chain(a, m))))
-            for j, a in enumerate(block) if (r := a % m_norm) in failing]
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:

@@ -383,6 +383,22 @@ class TestVerifyCommand:
         assert err == ("gencong: error: 200000000000000000000 pairs exceed the safety cap of "
                        "1000000; raise --cap to allow this\n")
 
+    def test_range_of_more_than_maxsize_bases_refused(self, capsys):
+        # the sweep counts the bases with len(), which stops at sys.maxsize:
+        # one base more is a usage error, not a traceback, and exactly that
+        # many are swept on one period per modulus
+        cap = str(2 * sys.maxsize)
+        code, out, err = run_cli(capsys, "verify", "--a", f"0..{sys.maxsize}", "--m", "1..1",
+                                 "--cap", cap)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"gencong: error: --a range holds {sys.maxsize + 1} bases, more than "
+                       f"the {sys.maxsize} verify can count\n")
+        code, out, _ = run_cli(capsys, "verify", "--a", f"1..{sys.maxsize}", "--m", "1..1",
+                               "--cap", cap)
+        assert code == EXIT_OK
+        assert out == f"{sys.maxsize} checked, 0 failures\n"
+
     def test_cap_below_one_rejected(self, capsys):
         for cap in ("-5", "0"):
             code, out, err = run_cli(capsys, "verify", "--a", "0..2", "--m", "1..2", "--cap", cap)

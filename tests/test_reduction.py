@@ -562,6 +562,15 @@ def _wrong_totient(monkeypatch):
                         lambda n: real(n) // 2 if n % 7 == 0 or n % 9 == 0 else real(n))
 
 
+def _count_powers(monkeypatch):
+    """Record each builtin ``pow`` and ``mod_pow`` call made by ``reduction``; return the list."""
+    calls = []
+    for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
+        monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
+                            or real(*args), raising=False)
+    return calls
+
+
 small_ranges = st.builds(range, st.integers(-60, 60), st.integers(-60, 60),
                          st.integers(-7, 7).filter(bool))
 base_tuples = st.lists(st.integers(-5, 5) | st.integers(-200, 200), max_size=40).map(tuple)
@@ -610,6 +619,9 @@ class TestVerifySweep:
     @given(small_ranges | base_tuples, small_ranges | moduli_tuples)
     @example(range(-20, 21), range(-27, 28))
     @example((5, 5, -4, 5, 14, 5), (9, -9, 0, 9))
+    # nine periods of 9: witnesses past the first period, and those of a
+    # repeated and a negated modulus, in a-major order
+    @example(range(-40, 41), (9, 9, -9, 7))
     # residue 3 mod 7 without its mirror 4, which fails under the wrong totient
     @example((3, 10, 17, -4), (7, -7, 9))
     # m_s of 1 (bases 6, 12) and 2 (bases 3, 15, -3): phi_ms + s and s differ in parity
@@ -648,9 +660,9 @@ class TestVerifySweep:
         assert reduction._residue_pairs(block, abs(m)) == (present, pairs)
 
     def test_a_failing_residue_recurs_across_covering_blocks(self, monkeypatch):
-        # two blocks of 7 consecutive bases, each a complete residue system
-        # mod 7; residues 3, 5 and 6 fail under the wrong totient in both,
-        # and the witnesses of both blocks come out in a-major order
+        # 14 consecutive bases, two periods mod 7: the first 7 decide the
+        # verdicts, and residues 3, 5 and 6, which fail under the wrong
+        # totient, get witnesses in both periods, in a-major order
         _wrong_totient(monkeypatch)
         monkeypatch.setattr(reduction, "_SWEEP_BLOCK", 7)
         a_values, m_values = range(-4, 10), (7, -7)
@@ -660,25 +672,31 @@ class TestVerifySweep:
             (a, m) for a in (-4, -2, -1, 3, 5, 6) for m in m_values]
 
     def test_multi_block_covering_sweep(self, monkeypatch):
-        # 10**6 pairs: 25 blocks per modulus, each read from its bounds, so
-        # the powers follow the ± pairs of residues per block, not the bases
-        calls = []
-        for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
-            monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
-                                or real(*args), raising=False)
+        # 10**6 pairs: only the first |m| bases of the range are read, from
+        # their bounds, so the powers follow the ± pairs of residues once per
+        # modulus, not the bases nor the blocks
+        calls = _count_powers(monkeypatch)
         m_values = range(1, 11)
         assert verify_sweep(range(-50000, 50000), m_values) == (1000000, [])
-        blocks = -(-100000 // reduction._SWEEP_BLOCK)
-        assert len(calls) <= 2 * blocks * sum(m // 2 + 1 for m in m_values)
+        assert len(calls) <= 2 * sum(m // 2 + 1 for m in m_values)
 
     def test_one_pair_of_powers_per_residue(self, monkeypatch):
         # 4001 consecutive bases hold every residue mod m <= 100 about 4001 / m
         # times; each ± pair (r, m - r) is evaluated once, whether by
         # verify_theorem or the sweep: m // 2 + 1 pairs, counting 0 and m / 2
-        calls = []
-        for name, real in (("pow", pow), ("mod_pow", reduction.mod_pow)):
-            monkeypatch.setattr(reduction, name, lambda *args, real=real: calls.append(args)
-                                or real(*args), raising=False)
+        calls = _count_powers(monkeypatch)
         m_values = range(1, 101)
         assert verify_sweep(range(-2000, 2001), m_values) == (4001 * 100, [])
         assert len(calls) <= 2 * sum(m // 2 + 1 for m in m_values)
+
+    def test_a_long_range_is_decided_on_one_period(self, monkeypatch):
+        # 10**6 bases are 245 blocks, but one period of 4001 decides the
+        # modulus: its 2001 ± pairs are evaluated once, not once per block
+        calls = _count_powers(monkeypatch)
+        assert verify_sweep(range(0, 10**6), (4001,)) == (10**6, [])
+        assert len(calls) <= 2 * 2001
+
+    def test_a_sweep_with_no_failures_never_walks_the_range(self):
+        # 2 * 10**15 bases per modulus: the witness scan is skipped, so this
+        # ends, and the count is still every pair
+        assert verify_sweep(range(-10**15, 10**15), range(1, 31)) == (6 * 10**16, [])
