@@ -22,13 +22,9 @@ order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
 characters finds ``N`` between its first and last fields
 (``_batch_fields``), so splitting it does not scan ``N`` either; only a
 failed line is split whole, to report a wrong field count.
-``verify`` goes through ``reduction.verify_sweep``, which decides each
-modulus once: it builds one chain per ``(m, gcd(a, m))`` class and
-evaluates both sides once per ± pair ``r``, ``|m| - r`` of distinct
-residues ``a mod |m|`` among the first ``|m|`` bases of the ``--a`` range,
-read from their bounds, so its cost follows ``min(#bases, |m|)`` per
-modulus.  Only when a residue fails does one more scan of the range give
-each failing pair its witness: its own chain, and under ``--json`` the
+``verify`` goes through ``reduction.verify_sweep``, which checks every
+pair exactly at a cost of ``min(#bases, |m|)`` residues per modulus; each
+failing pair's witness is its own chain, and under ``--json`` the
 ``reduce`` JSON object plus ``lhs``/``rhs``.  The ``--cap`` count leaves
 out the pairs with ``m = 0``, which the sweep skips; an ``--a`` range of
 more than ``sys.maxsize`` bases, which the sweep cannot count, is a usage

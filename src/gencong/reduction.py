@@ -46,7 +46,7 @@ decimal string to int in time quadratic in its length.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from math import gcd
 from typing import NamedTuple
 
@@ -70,9 +70,8 @@ __all__ = [
 #: chunks pay the quadratic conversion, shorter ones more Python-level steps.
 CHUNK_DIGITS = 300
 
-#: Bases per block in :func:`verify_sweep`: the sweep holds at most one
-#: block's residues at a time, and evaluates each ± pair once per block; a
-#: range gives each modulus only its first ``|m|`` bases, one period or more.
+#: Bases per block when :func:`verify_sweep` reduces a tuple, or a range
+#: shorter than one period of its residues: it holds one block's residues.
 _SWEEP_BLOCK = 4096
 
 
@@ -181,28 +180,19 @@ def verify_sweep(a_values: Sequence[int],
     """Check the congruence for every pair ``(a, m)`` with ``m != 0``.
 
     Returns the number of pairs checked and the falsy checks, in a-major
-    order.  Both sides depend on ``a`` only through ``r = a mod |m|``:
-    ``pow(a, e, |m|) == pow(r, e, |m|)`` and ``gcd(a, m) == gcd(r, m)``, so
-    every pair's verdict is its residue's.  Each modulus is decided once,
-    on its bases: the first ``|m|`` of a ``range``, whose residues repeat
-    with a period dividing ``|m|``, or all of any other sequence.  These are
-    read in blocks of :data:`_SWEEP_BLOCK`, and both sides are evaluated
-    once for each ± pair of distinct residues in a block: ``-r`` has
-    ``r``'s gcd, and ``(-r)**e == (-1)**e * r**e``, so the powers of ``r``
-    give those of its mirror ``|m| - r`` by a sign.  A residue whose mirror
-    is not in the block is evaluated on its own.  A block of a ``range``
-    ``|m|`` long whose step is coprime to ``|m|`` holds every residue, so
-    its pairs come from its bounds and no base is reduced: for a range the
-    cost follows ``min(#bases, |m|)`` per modulus, not the pairs.  The chain
-    depends on ``a`` only through ``g = gcd(a, m)``, so the first residue of
-    each class ``(m, g)`` goes through :func:`verify_theorem`, and every
-    later one is checked with that class's exponents ``phi_ms + s`` and
-    ``s``.  Only when some residue fails is ``a_values`` scanned, once, in
-    a-major order, and each pair whose residue fails gets its own chain as
-    the witness.  Memory holds one block, one modulus's classes and the
-    failing residues, whatever the ranges.  ``a_values`` is read anew for
-    each modulus, so it must be a sequence, not a one-shot iterator, and
-    ``len(a_values)`` counts it, so it holds at most ``sys.maxsize`` bases.
+    order, each with its own chain.  The check is exact, not sampled: both
+    sides depend on ``a`` only through ``r = a mod |m|``, so every pair's
+    verdict is its residue's, and each modulus is decided once, on the
+    residues :func:`_residue_blocks` gives it.  For a ``range`` that costs
+    ``min(#bases, |m| / gcd(step, |m|))`` residues per modulus.  The first
+    residue of each class ``(m, gcd(r, m))`` goes through
+    :func:`verify_theorem`, later ones are checked with that class's
+    exponents ``phi_ms + s`` and ``s``, and a mirror ``|m| - r`` takes
+    ``r``'s sides times ``(-1)**e``.  Only when some residue fails is
+    ``a_values`` scanned, once, for the witnesses.  ``a_values`` is read
+    anew for each modulus, so it must be a sequence, not a one-shot
+    iterator, and ``len(a_values)`` counts it, so it holds at most
+    ``sys.maxsize`` bases.
     """
     if iter(a_values) is a_values:
         raise TypeError("a_values must be a sequence such as a range, not an iterator")
@@ -212,11 +202,9 @@ def verify_sweep(a_values: Sequence[int],
         if m == 0:
             continue
         m_norm = abs(m)
-        bases = a_values[:m_norm] if isinstance(a_values, range) else a_values
         exponents: dict[int, tuple[int, int]] = {}  # g -> (phi_ms + s, s)
         failing: dict[int, tuple[int, int]] = {}  # residue -> (lhs, rhs)
-        for offset in range(0, len(bases), _SWEEP_BLOCK):
-            present, pairs = _residue_pairs(bases[offset:offset + _SWEEP_BLOCK], m_norm)
+        for present, pairs in _residue_blocks(a_values, m_norm):
             for r in pairs:
                 g = gcd(r, m_norm)
                 known = exponents.get(g)
@@ -247,19 +235,30 @@ def verify_sweep(a_values: Sequence[int],
                      if (r := a % m_norm) in failing]
 
 
-def _residue_pairs(block: Sequence[int],
-                   m_norm: int) -> tuple[Container[int], Iterable[int]]:
-    """The residues mod ``m_norm`` in ``block``, and one residue of each ± pair of them.
+def _residue_blocks(a_values: Sequence[int],
+                    m_norm: int) -> Iterator[tuple[Container[int], Iterable[int]]]:
+    """Yield the residues mod ``m_norm`` of ``a_values`` and one of each ± pair of them.
 
-    A ``range`` at least ``m_norm`` long whose step is coprime to ``m_norm``
-    is a complete residue system, so both come from ``m_norm`` alone.
-    Otherwise each base is reduced, and a residue is kept when it is at most
-    its mirror or its mirror is absent.
+    The residues of a ``range`` repeat with period ``m_norm / g``, where
+    ``g = gcd(step, m_norm)``.  A range that holds a period holds exactly
+    the coset ``range(c, m_norm, g)`` of ``c = start % g``, one block read
+    from its bounds, with no base reduced.  The mirror ``m_norm - r`` of its
+    residues is in that coset when ``2c == 0 (mod g)``, so the pairs are its
+    residues up to ``m_norm / 2``; otherwise no mirror is present, and the
+    pairs are the coset itself.  Any other sequence is reduced in blocks of
+    :data:`_SWEEP_BLOCK` bases, each of which keeps a residue when it is at
+    most its mirror or its mirror is absent from the block.
     """
-    if isinstance(block, range) and len(block) >= m_norm and gcd(block.step, m_norm) == 1:
-        return range(m_norm), range(m_norm // 2 + 1)
-    present = dict.fromkeys([a % m_norm for a in block])
-    return present, [r for r in present if r <= m_norm - r or m_norm - r not in present]
+    if isinstance(a_values, range):
+        g = gcd(a_values.step, m_norm)
+        if len(a_values) * g >= m_norm:
+            c = a_values.start % g
+            coset = range(c, m_norm, g)
+            yield coset, range(c, m_norm // 2 + 1, g) if 2 * c % g == 0 else coset
+            return
+    for offset in range(0, len(a_values), _SWEEP_BLOCK):
+        present = dict.fromkeys([a % m_norm for a in a_values[offset:offset + _SWEEP_BLOCK]])
+        yield present, [r for r in present if r <= m_norm - r or m_norm - r not in present]
 
 
 def reduce_exponent(chain: ReductionChain, exponent: int | str) -> int:

@@ -631,11 +631,15 @@ class TestVerifySweep:
     @example(range(-4, 4), (9, -9))
     @example(range(-4, 5), (9, -9))
     @example(range(-4, 6), (9, -9))
-    # steps 1, -1 and 7 are coprime to 9; step 3 is not, and takes the dict path
+    # steps 1, -1 and 7 are coprime to 9; step 3 holds the coset 0 mod 3
     @example(range(-10, 10), (9, -9))
     @example(range(10, -10, -1), (9, -9))
     @example(range(-30, 40, 7), (9, -9))
     @example(range(-30, 30, 3), (9, -9))
+    # odd bases: the coset 1 mod 2, its own mirror, of 10 and 18 but all of 4
+    @example(range(-9, 30, 2), (10, -10, 4, 18))
+    # the coset 5 mod 7 of 14, whose mirrors 2 mod 7 are absent
+    @example(range(-30, 60, 7), (14, -14))
     def test_matches_pairwise_checks_across_blocks(self, block, a_values, m_values):
         with pytest.MonkeyPatch.context() as monkeypatch:
             _wrong_totient(monkeypatch)
@@ -644,57 +648,53 @@ class TestVerifySweep:
             pairs = len(a_values) * sum(m != 0 for m in m_values)
             assert verify_sweep(a_values, m_values) == (pairs, expected)
 
-    @pytest.mark.parametrize("block, m, present, pairs", [
-        (range(-4, 5), 9, range(9), range(5)),
-        (range(10, -10, -1), 9, range(9), range(5)),
-        (range(-30, 40, 7), -9, range(9), range(5)),
-        (range(-4, 5), 1, range(1), range(1)),
-        (range(-4, 4), 9, dict.fromkeys((5, 6, 7, 8, 0, 1, 2, 3)), [5, 0, 1, 2, 3]),
-        (range(-30, 30, 3), 9, dict.fromkeys((6, 0, 3)), [0, 3]),
-        ((4, 5, 4, 7), 9, dict.fromkeys((4, 5, 7)), [4, 7]),
-    ], ids=["length |m|", "step -1", "step 7, m < 0", "m = 1", "length |m| - 1", "step 3",
-            "tuple"])
-    def test_residue_pairs_of_a_block(self, block, m, present, pairs):
-        # a range at least |m| long with a step coprime to |m| is a complete
-        # residue system, read from its bounds; any other block is reduced
-        assert reduction._residue_pairs(block, abs(m)) == (present, pairs)
+    @pytest.mark.parametrize("a_values, m, blocks", [
+        (range(-4, 5), 9, [(range(9), range(5))]),
+        (range(10, -10, -1), 9, [(range(9), range(5))]),
+        (range(-30, 40, 7), -9, [(range(9), range(5))]),
+        (range(-4, 5), 1, [(range(1), range(1))]),
+        (range(-30, 30, 3), 9, [(range(0, 9, 3), range(0, 5, 3))]),
+        (range(-9, 30, 2), 10, [(range(1, 10, 2), range(1, 6, 2))]),
+        (range(-30, 60, 7), 14, [(range(5, 14, 7), range(5, 14, 7))]),
+        (range(0, 10**6), 40001, [(range(40001), range(20001))]),
+        (range(-4, 4), 9, [(dict.fromkeys((5, 6, 7, 8, 0, 1, 2, 3)), [5, 0, 1, 2, 3])]),
+        (range(-30, -24, 3), 9, [(dict.fromkeys((6, 0)), [6, 0])]),
+        ((4, 5, 4, 7), 9, [(dict.fromkeys((4, 5, 7)), [4, 7])]),
+    ], ids=["length |m|", "step -1", "step 7, m < 0", "m = 1", "step 3", "coset 1 mod 2",
+            "coset without mirrors", "|m| past the block", "length |m| - 1",
+            "step 3, one short of a period", "tuple"])
+    def test_residue_blocks(self, a_values, m, blocks):
+        # a range that holds a period of its residues is one coset, read
+        # from its bounds; a shorter range or a tuple is reduced in blocks
+        assert list(reduction._residue_blocks(a_values, abs(m))) == blocks
 
     def test_a_failing_residue_recurs_across_covering_blocks(self, monkeypatch):
-        # 14 consecutive bases, two periods mod 7: the first 7 decide the
+        # 14 consecutive bases, two periods mod 7: one period decides the
         # verdicts, and residues 3, 5 and 6, which fail under the wrong
         # totient, get witnesses in both periods, in a-major order
         _wrong_totient(monkeypatch)
-        monkeypatch.setattr(reduction, "_SWEEP_BLOCK", 7)
         a_values, m_values = range(-4, 10), (7, -7)
         checked, failures = verify_sweep(a_values, m_values)
         assert (checked, failures) == (28, _pairwise_failures(a_values, m_values))
         assert [(c.chain.a_input, c.chain.m_input) for c in failures] == [
             (a, m) for a in (-4, -2, -1, 3, 5, 6) for m in m_values]
 
-    def test_multi_block_covering_sweep(self, monkeypatch):
-        # 10**6 pairs: only the first |m| bases of the range are read, from
-        # their bounds, so the powers follow the ± pairs of residues once per
-        # modulus, not the bases nor the blocks
+    @pytest.mark.parametrize("a_values, m_values, pairs", [
+        (range(-50000, 50000), range(1, 11), sum(m // 2 + 1 for m in range(1, 11))),
+        (range(-2000, 2001), range(1, 101), sum(m // 2 + 1 for m in range(1, 101))),
+        (range(0, 10**6), (4001,), 2001),
+        (range(0, 10**6), (40001,), 20001),
+        (range(1, 10**5, 3), (9999,), 3333),
+    ], ids=["10^6 pairs", "m <= 100", "245 blocks of 4001", "|m| past the block",
+            "step 3, no mirrors"])
+    def test_powers_follow_the_residue_pairs(self, monkeypatch, a_values, m_values, pairs):
+        # each modulus is decided once, on one period of the range's residues:
+        # two powers per ± pair (r, m - r), whether by verify_theorem or the
+        # sweep, not per base nor per block.  Mod 9999 the bases 1 mod 3 are
+        # 3333 residues, none the mirror of another
         calls = _count_powers(monkeypatch)
-        m_values = range(1, 11)
-        assert verify_sweep(range(-50000, 50000), m_values) == (1000000, [])
-        assert len(calls) <= 2 * sum(m // 2 + 1 for m in m_values)
-
-    def test_one_pair_of_powers_per_residue(self, monkeypatch):
-        # 4001 consecutive bases hold every residue mod m <= 100 about 4001 / m
-        # times; each ± pair (r, m - r) is evaluated once, whether by
-        # verify_theorem or the sweep: m // 2 + 1 pairs, counting 0 and m / 2
-        calls = _count_powers(monkeypatch)
-        m_values = range(1, 101)
-        assert verify_sweep(range(-2000, 2001), m_values) == (4001 * 100, [])
-        assert len(calls) <= 2 * sum(m // 2 + 1 for m in m_values)
-
-    def test_a_long_range_is_decided_on_one_period(self, monkeypatch):
-        # 10**6 bases are 245 blocks, but one period of 4001 decides the
-        # modulus: its 2001 ± pairs are evaluated once, not once per block
-        calls = _count_powers(monkeypatch)
-        assert verify_sweep(range(0, 10**6), (4001,)) == (10**6, [])
-        assert len(calls) <= 2 * 2001
+        assert verify_sweep(a_values, m_values) == (len(a_values) * len(m_values), [])
+        assert len(calls) <= 2 * pairs
 
     def test_a_sweep_with_no_failures_never_walks_the_range(self):
         # 2 * 10**15 bases per modulus: the witness scan is skipped, so this
