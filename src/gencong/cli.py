@@ -16,7 +16,8 @@ operands, options and help; ``_parse_args`` reads argv against it in one
 pass, in argparse's words but without argparse's 6 ms of import and set-up.
 A handler takes the parsed namespace and returns through ``_emit``, the one
 place that picks text or JSON (batch mode streams JSON lines itself, with
-an error record for each line it cannot answer).  Powers go through
+an error record for each line it cannot answer, and writes the records of
+each read of stdin at once, flushed before the next read).  Powers go through
 ``reduction.solve``, as in the library, with the operands checked in the
 order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
 characters finds ``N`` between its first and last fields
@@ -246,34 +247,68 @@ def _batch_fields(raw: str) -> list[str]:
     return fields[:1] + fields[1].rsplit(None, 1) if len(fields) == 2 else fields
 
 
+def _waiting_lines(stdin) -> Iterable[list[str]]:
+    """Stdin's lines, one list per read that ends a line.
+
+    Each ``read1`` of up to 32 KiB is cut at its last newline and decoded
+    once, with ``surrogateescape``; a line that spans reads is joined once.
+    Only ``\\n`` ends a line, as in ``sys.stdin`` on POSIX.  A stream with no
+    byte buffer, or whose encoding does not write ``\\n`` as that byte
+    (UTF-16), gives one line per list.
+    """
+    read1 = getattr(getattr(stdin, "buffer", None), "read1", None)
+    if read1 is None or "\n".encode(stdin.encoding) != b"\n":
+        yield from ([line] for line in stdin)
+        return
+    encoding, head = stdin.encoding, []
+    while chunk := read1(1 << 15):
+        end = chunk.rfind(b"\n") + 1
+        if not end:
+            head.append(chunk)
+            continue
+        view = memoryview(chunk)
+        region = b"".join([*head, view[:end]]) if head else view[:end]
+        head = [view[end:]] if end < len(chunk) else []
+        text = str(region, encoding, "surrogateescape")
+        # a region of one line (a long N) is passed on with no split copy
+        yield [text] if chunk.find(b"\n") + 1 == end else text[:-1].split("\n")
+    if head:
+        yield [str(b"".join(head), encoding, "surrogateescape")]
+
+
 def _pow_batch() -> int:
     """One 'a N m' request per stdin line; one JSON object per output line.
 
     A line that fails prints ``{"line": k, "error": ..., "code": ...}`` (``k``
     counts stdin lines from 1) and the batch goes on; the exit code is the
-    highest code of any line.  Stdin is decoded with ``surrogateescape`` in
-    every locale, so a byte that does not decode fails its own line only.
+    highest code of any line.  The records of one read's lines are written at
+    once and flushed before the next read, so a caller that waits for each
+    answer gets it in any buffering mode.  A byte that does not decode fails
+    its own line only.
     """
     if sys.stdin is None:  # fd 0 was closed when Python started
         raise CliError(EXIT_USAGE, "batch mode reads stdin, which is closed")
-    worst = EXIT_OK
-    write = sys.stdout.write
-    if hasattr(sys.stdin, "reconfigure"):
-        sys.stdin.reconfigure(errors="surrogateescape")
-    for line_no, raw in enumerate(sys.stdin, 1):
-        fields = _batch_fields(raw)
-        if not fields:
-            continue
-        try:
-            chain, reduced, residue = _solve_pow(fields)  # unpacking refuses other than 3 fields
-            record = _pow_json(chain, reduced, residue)
-        except (CliError, ValueError, CertificateError) as err:
-            if len(raw.split()) != 3:  # the field count is reported before any operand
-                err = CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
-            code = _exit_code(err)
-            worst = max(worst, code)
-            record = _dumps({"line": line_no, "error": str(err), "code": code})
-        write(record + "\n")
+    worst, line_no = EXIT_OK, 0
+    write, flush = sys.stdout.write, sys.stdout.flush
+    for lines in _waiting_lines(sys.stdin):
+        records = []
+        for raw in lines:
+            line_no += 1
+            fields = _batch_fields(raw)
+            if not fields:
+                continue
+            try:
+                chain, reduced, residue = _solve_pow(fields)  # unpacking refuses other than 3 fields
+                records.append(_pow_json(chain, reduced, residue))
+            except (CliError, ValueError, CertificateError) as err:
+                if len(raw.split()) != 3:  # the field count is reported before any operand
+                    err = CliError(EXIT_USAGE, f"batch line must be 'a N m', got {raw.strip()!r}")
+                code = _exit_code(err)
+                worst = max(worst, code)
+                records.append(_dumps({"line": line_no, "error": str(err), "code": code}))
+        if records:
+            write("\n".join(records) + "\n")
+            flush()
     return worst
 
 

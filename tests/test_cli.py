@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import select
 import string
 import subprocess
 import sys
@@ -266,6 +267,91 @@ class TestPowCommand:
             '{"line": 11, "error": "batch line must be \'a N m\', got \'1 2\'", "code": 1}',
         ]
         assert out.endswith("}\n")
+
+
+class _Reads(io.RawIOBase):
+    """A byte stream whose reads hand out ``pieces`` in order, at most one a read."""
+
+    def __init__(self, pieces):
+        self.pieces = list(pieces)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        piece = self.pieces.pop(0) if self.pieces else b""
+        if len(piece) > len(buffer):  # longer than the read asked for: the rest comes next
+            piece, rest = piece[:len(buffer)], piece[len(buffer):]
+            self.pieces.insert(0, rest)
+        buffer[:len(piece)] = piece
+        return len(piece)
+
+
+def _byte_stdin(pieces):
+    """A stdin like ``sys.stdin``: text over a byte buffer, read as ``pieces`` arrive."""
+    return io.TextIOWrapper(io.BufferedReader(_Reads(pieces)), encoding="utf-8", newline="\n")
+
+
+def _cut(data, *ends):
+    return [data[i:j] for i, j in zip((0, *ends), (*ends, len(data)))]
+
+
+N_100K = "7" * 100_000
+
+#: Batch stdin as bytes, each cut where a read would split what a line reader
+#: never splits: a ``\r\n``, a lone ``\r`` (which, as in ``sys.stdin`` on POSIX,
+#: ends no line; ``split()`` takes it for whitespace), a UTF-8 character,
+#: a byte that is not UTF-8, a 100,000-digit ``N``, blank lines and a last
+#: line with no newline.
+READ_CASES = {
+    "crlf": _cut(b"2 3 5\r\n2 3 7\r\n", 6, 7),
+    "lone cr": _cut(b"2 3 5\r2 3 7\n7 0 13\r\n2 3 11\r", 6, 12, 18),
+    "utf-8 char": _cut("2　3 5\n2 ٣ 5\n6 25604 105765\n".encode(), 2, 3, 10, 11),
+    "bad byte": _cut(b"2 3 5\n\xff 3 5\n2 3 7\n", 6, 7),
+    "100,000 digits": _cut(f"6 {N_100K} 105765\n2 3 5\n6 {N_100K}\n".encode(),
+                           *range(1000, 200_030, 9_999)),
+    "blank lines": _cut(b"\n\n2 3 5\n \n\n5 3 0\n\n", 1, 4, 9, 11),
+    "no final newline": _cut(b"2 3 5\n2 3 7", 3, 8),
+}
+
+
+class TestBatchReads:
+    """Batch stdin read ``read1`` at a time gives the records a line reader gives."""
+
+    @pytest.mark.parametrize("pieces", READ_CASES.values(), ids=READ_CASES.keys())
+    def test_records_do_not_depend_on_where_reads_end(self, capsys, monkeypatch, pieces):
+        data = b"".join(pieces)
+        results = []
+        # as cut, in one piece, a byte a read for the first 400, and through a line reader
+        for stdin in (_byte_stdin(pieces), _byte_stdin([data]),
+                      _byte_stdin([data[i:i + 1] for i in range(min(len(data), 400))]
+                                  + [data[400:]]),
+                      io.StringIO(data.decode("utf-8", "surrogateescape"))):
+            monkeypatch.setattr(sys, "stdin", stdin)
+            results.append(run_cli(capsys, "pow"))
+        assert results[0][1].count("\n") >= 2
+        assert results[1:] == results[:1] * 3
+
+    def test_the_records_of_one_read_are_one_write_flushed_before_the_next_read(
+            self, capsys, monkeypatch):
+        stdin = _byte_stdin([b"2 3 5\n2 3 7\n\n2 3", b" 11\n6 25604 105765\n", b"5 3 0\n"])
+        raw = stdin.buffer.raw
+        calls = []
+
+        class Recorder:
+            def write(self, text):
+                calls.append(("write", len(raw.pieces), text.count("\n")))
+                return len(text)
+
+            def flush(self):
+                calls.append(("flush", len(raw.pieces), 0))
+
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["pow"]) == EXIT_DOMAIN
+        # (call, reads still to come, records written); main flushes once more at the end
+        assert calls == [("write", 2, 2), ("flush", 2, 0), ("write", 1, 2), ("flush", 1, 0),
+                         ("write", 0, 1), ("flush", 0, 0), ("flush", 0, 0)]
 
 
 class TestTotientCommand:
@@ -797,6 +883,40 @@ class TestModuleEntryPoint:
         assert second == {"line": 2, "error": "a must be a decimal integer, got '\\udcff'",
                           "code": EXIT_USAGE}
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_a_caller_that_waits_for_each_answer_gets_it(self, unbuffered):
+        # with stdout a pipe, block buffering once held every record until
+        # stdin closed, so a caller that writes a line and reads its answer hung
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "gencong", "pow"], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        try:
+            for request, residue in ((b"6 25604 105765\n", "1296"), (b"7 0 13\n", "1")):
+                proc.stdin.write(request)
+                proc.stdin.flush()
+                assert select.select([proc.stdout], [], [], 10)[0], "no answer within 10 s"
+                assert json.loads(proc.stdout.readline())["residue"] == residue
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == EXIT_OK
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+
+    def test_an_encoding_whose_newline_is_not_one_byte_gives_the_same_records(self):
+        # U+0A66 is the bytes 66 0a in UTF-16: a cut at byte 0x0a would split it
+        stdin = "6 25604 105765\r\n\n2 \u0a66 5\n5 3 0\n2 3 7"
+        outputs = [subprocess.run([sys.executable, "-m", "gencong", "pow"],
+                                  input=stdin.encode(encoding), capture_output=True,
+                                  env={**os.environ, "PYTHONIOENCODING": encoding})
+                   for encoding in ("utf-8", "utf-16")]
+        assert [(p.returncode, p.stderr) for p in outputs] == [(EXIT_DOMAIN, b"")] * 2
+        assert outputs[1].stdout.decode("utf-16") == outputs[0].stdout.decode()
+        assert outputs[0].stdout.count(b"\n") == 4
 
     @pytest.mark.parametrize("command, code, err", [
         ("pow 2 3 5 >&-", EXIT_BROKEN_PIPE, ""),
