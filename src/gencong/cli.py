@@ -17,12 +17,12 @@ pass, in argparse's words but without argparse's 6 ms of import and set-up.
 A handler takes the parsed namespace and returns through ``_emit``, the one
 place that picks text or JSON (batch mode streams JSON lines itself, with
 an error record for each line it cannot answer, and writes the records of
-each read of stdin at once, flushed before the next read).  Powers go through
-``reduction.solve``, as in the library, with the operands checked in the
-order ``a``, ``N``, ``m``.  A batch line longer than ``CHUNK_DIGITS``
-characters finds ``N`` between its first and last fields
-(``_batch_fields``), so splitting it does not scan ``N`` either; only a
-failed line is split whole, to report a wrong field count.
+each 32-KiB read of stdin, in any encoding, at once, flushed before the
+next read).  Powers go through ``reduction.solve``, as in the library, with
+the operands checked in the order ``a``, ``N``, ``m``.  A batch line longer
+than ``CHUNK_DIGITS`` characters finds ``N`` between its first and last
+fields (``_batch_fields``), so splitting it does not scan ``N`` either;
+only a failed line is split whole, to report a wrong field count.
 ``verify`` goes through ``reduction.verify_sweep``, which checks every
 pair exactly at a cost of ``min(#bases, |m|)`` residues per modulus; each
 failing pair's witness is its own chain, and under ``--json`` the
@@ -43,6 +43,7 @@ printing text, does not load it.
 
 from __future__ import annotations
 
+import codecs
 import os
 import sys
 from types import SimpleNamespace
@@ -248,32 +249,31 @@ def _batch_fields(raw: str) -> list[str]:
 
 
 def _waiting_lines(stdin) -> Iterable[list[str]]:
-    """Stdin's lines, one list per read that ends a line.
+    """Stdin's lines, one list per piece of text that ends a line.
 
-    Each ``read1`` of up to 32 KiB is cut at its last newline and decoded
-    once, with ``surrogateescape``; a line that spans reads is joined once.
-    Only ``\\n`` ends a line, as in ``sys.stdin`` on POSIX.  A stream with no
-    byte buffer, or whose encoding does not write ``\\n`` as that byte
-    (UTF-16), gives one line per list.
+    A stdin over a byte buffer gives one piece per ``read1`` of up to 32 KiB,
+    decoded as it comes in stdin's encoding, with ``surrogateescape``; a
+    stream with no byte buffer gives its lines.  Each piece is cut at its last
+    ``\\n``, the only end of a line, as in ``sys.stdin`` on POSIX; a line that
+    spans pieces is joined once.
     """
-    read1 = getattr(getattr(stdin, "buffer", None), "read1", None)
-    if read1 is None or "\n".encode(stdin.encoding) != b"\n":
-        yield from ([line] for line in stdin)
-        return
-    encoding, head = stdin.encoding, []
-    while chunk := read1(1 << 15):
-        end = chunk.rfind(b"\n") + 1
+    pieces, read1 = stdin, getattr(getattr(stdin, "buffer", None), "read1", None)
+    if read1 is not None:
+        decode = codecs.getincrementaldecoder(stdin.encoding)("surrogateescape").decode
+        pieces = map(decode, iter(lambda: read1(1 << 15), b""))
+    head = []
+    for text in pieces:
+        end = text.rfind("\n") + 1
         if not end:
-            head.append(chunk)
+            head.append(text)
             continue
-        view = memoryview(chunk)
-        region = b"".join([*head, view[:end]]) if head else view[:end]
-        head = [view[end:]] if end < len(chunk) else []
-        text = str(region, encoding, "surrogateescape")
+        region = "".join([*head, text[:end]]) if head else text[:end]
+        head = [text[end:]] if end < len(text) else []
         # a region of one line (a long N) is passed on with no split copy
-        yield [text] if chunk.find(b"\n") + 1 == end else text[:-1].split("\n")
-    if head:
-        yield [str(b"".join(head), encoding, "surrogateescape")]
+        yield [region] if text.find("\n") + 1 == end else region[:-1].split("\n")
+    # the final decode ends a sequence cut off by the end of input; it holds no \n
+    if tail := "".join([*head, decode(b"", True) if read1 else ""]):
+        yield [tail]
 
 
 def _pow_batch() -> int:
@@ -283,8 +283,8 @@ def _pow_batch() -> int:
     counts stdin lines from 1) and the batch goes on; the exit code is the
     highest code of any line.  The records of one read's lines are written at
     once and flushed before the next read, so a caller that waits for each
-    answer gets it in any buffering mode.  A byte that does not decode fails
-    its own line only.
+    answer gets it in any buffering mode.  A byte that is not UTF-8 fails its
+    own line only.
     """
     if sys.stdin is None:  # fd 0 was closed when Python started
         raise CliError(EXIT_USAGE, "batch mode reads stdin, which is closed")

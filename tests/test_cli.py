@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import codecs
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import select
 import string
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -287,9 +289,9 @@ class _Reads(io.RawIOBase):
         return len(piece)
 
 
-def _byte_stdin(pieces):
+def _byte_stdin(pieces, encoding="utf-8"):
     """A stdin like ``sys.stdin``: text over a byte buffer, read as ``pieces`` arrive."""
-    return io.TextIOWrapper(io.BufferedReader(_Reads(pieces)), encoding="utf-8", newline="\n")
+    return io.TextIOWrapper(io.BufferedReader(_Reads(pieces)), encoding=encoding, newline="\n")
 
 
 def _cut(data, *ends):
@@ -301,8 +303,8 @@ N_100K = "7" * 100_000
 #: Batch stdin as bytes, each cut where a read would split what a line reader
 #: never splits: a ``\r\n``, a lone ``\r`` (which, as in ``sys.stdin`` on POSIX,
 #: ends no line; ``split()`` takes it for whitespace), a UTF-8 character,
-#: a byte that is not UTF-8, a 100,000-digit ``N``, blank lines and a last
-#: line with no newline.
+#: a byte that is not UTF-8, a 100,000-digit ``N``, blank lines, a last
+#: line with no newline and one that ends inside a UTF-8 character.
 READ_CASES = {
     "crlf": _cut(b"2 3 5\r\n2 3 7\r\n", 6, 7),
     "lone cr": _cut(b"2 3 5\r2 3 7\n7 0 13\r\n2 3 11\r", 6, 12, 18),
@@ -312,29 +314,52 @@ READ_CASES = {
                            *range(1000, 200_030, 9_999)),
     "blank lines": _cut(b"\n\n2 3 5\n \n\n5 3 0\n\n", 1, 4, 9, 11),
     "no final newline": _cut(b"2 3 5\n2 3 7", 3, 8),
+    "cut-off char": _cut("2 3 5\n2 3 7\n　".encode()[:-1], 7),
 }
+
+
+def _in_utf16(pieces):
+    """``pieces`` as UTF-16 with its BOM, each cut moved to an odd byte: inside a code unit."""
+    data = b"".join(pieces).decode().encode("utf-16")
+    return _cut(data, *(2 * end + 1 for end in accumulate(map(len, pieces[:-1]))))
+
+
+#: Each case as cut, in UTF-8; and in UTF-16 but for the two that are not
+#: UTF-8, which have no UTF-16 form.
+READ_PARAMS = [pytest.param(pieces, "utf-8", id=name) for name, pieces in READ_CASES.items()] + [
+    pytest.param(_in_utf16(pieces), "utf-16", id=f"{name}, utf-16")
+    for name, pieces in READ_CASES.items() if name not in ("bad byte", "cut-off char")]
 
 
 class TestBatchReads:
     """Batch stdin read ``read1`` at a time gives the records a line reader gives."""
 
-    @pytest.mark.parametrize("pieces", READ_CASES.values(), ids=READ_CASES.keys())
-    def test_records_do_not_depend_on_where_reads_end(self, capsys, monkeypatch, pieces):
+    @pytest.mark.parametrize("pieces, encoding", READ_PARAMS)
+    def test_records_do_not_depend_on_where_reads_end(self, capsys, monkeypatch, pieces,
+                                                      encoding):
         data = b"".join(pieces)
+        text = data.decode(encoding, "surrogateescape")
         results = []
         # as cut, in one piece, a byte a read for the first 400, and through a line reader
-        for stdin in (_byte_stdin(pieces), _byte_stdin([data]),
+        for stdin in (_byte_stdin(pieces, encoding), _byte_stdin([data], encoding),
                       _byte_stdin([data[i:i + 1] for i in range(min(len(data), 400))]
-                                  + [data[400:]]),
-                      io.StringIO(data.decode("utf-8", "surrogateescape"))):
+                                  + [data[400:]], encoding),
+                      io.StringIO(text)):
             monkeypatch.setattr(sys, "stdin", stdin)
             results.append(run_cli(capsys, "pow"))
         assert results[0][1].count("\n") >= 2
         assert results[1:] == results[:1] * 3
+        # the text's lines, and no empty one after a last \n
+        lines = [line for read in cli._waiting_lines(_byte_stdin(pieces, encoding))
+                 for line in read]
+        assert [line.removesuffix("\n") for line in lines] == text.removesuffix("\n").split("\n")
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
     def test_the_records_of_one_read_are_one_write_flushed_before_the_next_read(
-            self, capsys, monkeypatch):
-        stdin = _byte_stdin([b"2 3 5\n2 3 7\n\n2 3", b" 11\n6 25604 105765\n", b"5 3 0\n"])
+            self, capsys, monkeypatch, encoding):
+        encode = codecs.getincrementalencoder(encoding)().encode  # one BOM, before the first
+        stdin = _byte_stdin([encode("2 3 5\n2 3 7\n\n2 3"), encode(" 11\n6 25604 105765\n"),
+                             encode("5 3 0\n")], encoding)
         raw = stdin.buffer.raw
         calls = []
 
@@ -884,21 +909,30 @@ class TestModuleEntryPoint:
                           "code": EXIT_USAGE}
         assert proc.stderr == b""
 
-    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-    def test_a_caller_that_waits_for_each_answer_gets_it(self, unbuffered):
+    @pytest.mark.parametrize("unbuffered, encoding", [(None, None), ("1", None), (None, "utf-16")],
+                             ids=["buffered", "unbuffered", "utf-16"])
+    def test_a_caller_that_waits_for_each_answer_gets_it(self, unbuffered, encoding):
         # with stdout a pipe, block buffering once held every record until
-        # stdin closed, so a caller that writes a line and reads its answer hung
+        # stdin closed, so a caller that writes a line and reads its answer
+        # hung; a UTF-16 stdin is read as it arrives too
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        encoding = encoding or "utf-8"
+        encode = codecs.getincrementalencoder(encoding)().encode  # a BOM before the first line
         proc = subprocess.Popen([sys.executable, "-m", "gencong", "pow"], env=env,
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         try:
-            for request, residue in ((b"6 25604 105765\n", "1296"), (b"7 0 13\n", "1")):
-                proc.stdin.write(request)
+            for request, residue in (("6 25604 105765\n", "1296"), ("7 0 13\n", "1")):
+                proc.stdin.write(encode(request))
                 proc.stdin.flush()
-                assert select.select([proc.stdout], [], [], 10)[0], "no answer within 10 s"
-                assert json.loads(proc.stdout.readline())["residue"] == residue
+                answer = b""  # a UTF-16 \n is two bytes, so read until the text ends a line
+                while not answer.decode(encoding, "ignore").endswith("\n"):
+                    assert select.select([proc.stdout], [], [], 10)[0], "no answer within 10 s"
+                    answer += os.read(proc.stdout.fileno(), 1 << 16)
+                assert json.loads(answer.decode(encoding))["residue"] == residue
             proc.stdin.close()
             assert proc.wait(timeout=10) == EXIT_OK
         finally:
@@ -907,15 +941,17 @@ class TestModuleEntryPoint:
             proc.stdin.close()
             proc.stdout.close()
 
-    def test_an_encoding_whose_newline_is_not_one_byte_gives_the_same_records(self):
-        # U+0A66 is the bytes 66 0a in UTF-16: a cut at byte 0x0a would split it
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_an_encoding_whose_newline_is_not_one_byte_gives_the_same_records(self, encoding):
+        # U+0A66 is the bytes 66 0a in UTF-16: a cut at byte 0x0a would split it;
+        # utf-8-sig starts with a BOM, which is not part of the first line
         stdin = "6 25604 105765\r\n\n2 \u0a66 5\n5 3 0\n2 3 7"
         outputs = [subprocess.run([sys.executable, "-m", "gencong", "pow"],
-                                  input=stdin.encode(encoding), capture_output=True,
-                                  env={**os.environ, "PYTHONIOENCODING": encoding})
-                   for encoding in ("utf-8", "utf-16")]
+                                  input=stdin.encode(name), capture_output=True,
+                                  env={**os.environ, "PYTHONIOENCODING": name})
+                   for name in ("utf-8", encoding)]
         assert [(p.returncode, p.stderr) for p in outputs] == [(EXIT_DOMAIN, b"")] * 2
-        assert outputs[1].stdout.decode("utf-16") == outputs[0].stdout.decode()
+        assert outputs[1].stdout.decode(encoding) == outputs[0].stdout.decode()
         assert outputs[0].stdout.count(b"\n") == 4
 
     @pytest.mark.parametrize("command, code, err", [
