@@ -252,14 +252,24 @@ def _waiting_lines(stdin) -> Iterable[list[str]]:
     """Stdin's lines, one list per piece of text that ends a line.
 
     A stdin over a byte buffer gives one piece per ``read1`` of up to 32 KiB,
-    decoded as it comes in stdin's encoding, with ``surrogateescape``; a
-    stream with no byte buffer gives its lines.  Each piece is cut at its last
-    ``\\n``, the only end of a line, as in ``sys.stdin`` on POSIX; a line that
-    spans pieces is joined once.
+    decoded as it comes in stdin's encoding; each byte it cannot decode
+    becomes ``chr(0xDC00 + b)``, as ``surrogateescape`` does but below 0x80
+    too, and a UTF-16 or UTF-32 stdin with no BOM is read in native byte
+    order, as ``bytes.decode`` reads it.  A stream with no byte buffer gives
+    its lines.  Each piece is cut at its last ``\\n``, the only end of a line,
+    as in ``sys.stdin`` on POSIX; a line that spans pieces is joined once.
     """
     pieces, read1 = stdin, getattr(getattr(stdin, "buffer", None), "read1", None)
     if read1 is not None:
-        decode = codecs.getincrementaldecoder(stdin.encoding)("surrogateescape").decode
+        codecs.register_error("gencong-escape", lambda err: (
+            "".join([chr(0xDC00 + b) for b in err.object[err.start : err.end]]), err.end))
+        decoder = codecs.getincrementaldecoder(stdin.encoding)("gencong-escape")
+        def decode(data: bytes, final: bool = False) -> str:
+            try:
+                return decoder.decode(data, final)
+            except UnicodeError:  # no BOM: state flag 0 is native order in utf_16 and utf_32
+                decoder.setstate((decoder.getstate()[0], 0))
+                return decoder.decode(data, final)
         pieces = map(decode, iter(lambda: read1(1 << 15), b""))
     head = []
     for text in pieces:
@@ -283,8 +293,8 @@ def _pow_batch() -> int:
     counts stdin lines from 1) and the batch goes on; the exit code is the
     highest code of any line.  The records of one read's lines are written at
     once and flushed before the next read, so a caller that waits for each
-    answer gets it in any buffering mode.  A byte that is not UTF-8 fails its
-    own line only.
+    answer gets it in any buffering mode.  A sequence that stdin's encoding
+    cannot decode fails its own line only.
     """
     if sys.stdin is None:  # fd 0 was closed when Python started
         raise CliError(EXIT_USAGE, "batch mode reads stdin, which is closed")

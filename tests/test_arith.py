@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_extra_strong_lucas_prp
 
-from gencong import arith
+from gencong import _large, arith
 from gencong.arith import Factorization, factorize, is_prime, mod_pow, totient
 from gencong.reduction import verify_sweep
 
@@ -66,9 +66,9 @@ def chernick_carmichaels(count):
 NEAR_TRIAL_BOUND = tuple(sympy.primerange(900, 1100))
 #: P-1's stage 1 exponent lcm(1 .. B1 - 1), the primes below B1, and the
 #: primes stage 2 covers
-STAGE_1_EXPONENT = math.lcm(*range(1, arith._PM1_B1))
-STAGE_1_PRIMES = tuple(sympy.primerange(2, arith._PM1_B1))
-STAGE_2_PRIMES = tuple(sympy.primerange(arith._PM1_B1, arith._PM1_B2 + 1))
+STAGE_1_EXPONENT = math.lcm(*range(1, _large._PM1_B1))
+STAGE_1_PRIMES = tuple(sympy.primerange(2, _large._PM1_B1))
+STAGE_2_PRIMES = tuple(sympy.primerange(_large._PM1_B1, _large._PM1_B2 + 1))
 
 
 def next_safe_prime(n):
@@ -80,7 +80,7 @@ def next_safe_prime(n):
 
 
 #: Safe primes of 17 to 35 bits, each (q - 1) / 2 past P-1's stage 2 bound
-SAFE_PRIMES = tuple(next_safe_prime(2 * arith._PM1_B2 * 4**k) for k in range(1, 11))
+SAFE_PRIMES = tuple(next_safe_prime(2 * _large._PM1_B2 * 4**k) for k in range(1, 11))
 
 
 def p_minus_1_ready(p):
@@ -89,10 +89,10 @@ def p_minus_1_ready(p):
     None when a prime below B1 divides p - 1 to a power at or past B1: stage 1
     leaves that prime over, and stage 2 may find it in a composite kD ± j.
     """
-    large = [(r, e) for r, e in sympy.factorint(p - 1).items() if r**e >= arith._PM1_B1]
-    if any(r < arith._PM1_B1 for r, _ in large):
+    large = [(r, e) for r, e in sympy.factorint(p - 1).items() if r**e >= _large._PM1_B1]
+    if any(r < _large._PM1_B1 for r, _ in large):
         return None
-    return not large or (len(large) == 1 and large[0][1] == 1 and large[0][0] <= arith._PM1_B2)
+    return not large or (len(large) == 1 and large[0][1] == 1 and large[0][0] <= _large._PM1_B2)
 
 
 #: (powers of primes below 1000) x (0 to 3 primes above 1000, repeats allowed)
@@ -106,9 +106,13 @@ trial_powers_times_large_primes = st.builds(
 
 
 def factorize_counted(n, names=("is_prime", "_split")):
-    """``factorize(n)``'s factors as a dict, and its calls to each of ``names`` in arith."""
+    """``factorize(n)``'s factors as a dict, and its calls to each of ``names``.
+
+    ``is_prime`` is counted in arith, and the engine's functions in ``_large``.
+    """
     calls = dict.fromkeys(names, 0)
-    real = {name: getattr(arith, name) for name in calls}
+    homes = {name: arith if name == "is_prime" else _large for name in calls}
+    real = {name: getattr(homes[name], name) for name in calls}
 
     def counted(name):
         def wrapper(*args):
@@ -117,12 +121,12 @@ def factorize_counted(n, names=("is_prime", "_split")):
         return wrapper
 
     for name in calls:
-        setattr(arith, name, counted(name))
+        setattr(homes[name], name, counted(name))
     try:
         factors = factorize(n)
     finally:
         for name, original in real.items():
-            setattr(arith, name, original)
+            setattr(homes[name], name, original)
     return dict(factors.factors), calls
 
 
@@ -244,7 +248,7 @@ def bpsw(n):
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    return not arith._is_composite_witness(2, d, r, n) and arith._is_extra_strong_lucas_prp(n)
+    return not _large._is_composite_witness(2, d, r, n) and _large._is_extra_strong_lucas_prp(n)
 
 
 odd_20_to_200_bits = st.integers(min_value=20, max_value=200).flatmap(
@@ -284,10 +288,10 @@ class TestBailliePSW:
         n = 1_000_000_000_039 * 10_000_000_000_037
         assert n > PSI[-1]
         with monkeypatch.context() as patch:
-            patch.setattr(arith, "_is_extra_strong_lucas_prp", lambda n: True)
+            patch.setattr(_large, "_is_extra_strong_lucas_prp", lambda n: True)
             assert not is_prime(n)
         with monkeypatch.context() as patch:
-            patch.setattr(arith, "_is_composite_witness", lambda *args: False)
+            patch.setattr(_large, "_is_composite_witness", lambda *args: False)
             assert not is_prime(n)
         # and a strong base-2 pseudoprime past psi_13 is left to the Lucas half
         assert is_strong_probable_prime(PSI[-1], 2) and not is_prime(PSI[-1])
@@ -296,10 +300,10 @@ class TestBailliePSW:
         # the first extra strong Lucas pseudoprimes (OEIS A217719) pass it, as
         # in sympy, and the base-2 half rejects each of them
         for n in (989, 3239, 5777, 10877, 27971, 29681):
-            assert arith._is_extra_strong_lucas_prp(n), n
+            assert _large._is_extra_strong_lucas_prp(n), n
             assert not sympy.isprime(n) and not bpsw(n), n
         for n in range(3, 40_001, 2):
-            assert arith._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n), n
+            assert _large._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n), n
 
     def test_lucas_half_screens_squares_before_searching_p(self, monkeypatch):
         # no P has Jacobi symbol -1 on a square: the search would run to
@@ -307,19 +311,19 @@ class TestBailliePSW:
         def no_search(a, n):
             raise AssertionError(f"searched P on the square {n}")
 
-        monkeypatch.setattr(arith, "_jacobi", no_search)
-        assert not arith._is_extra_strong_lucas_prp((2**61 - 1) ** 2)
+        monkeypatch.setattr(_large, "_jacobi", no_search)
+        assert not _large._is_extra_strong_lucas_prp((2**61 - 1) ** 2)
 
     @settings(max_examples=300, deadline=None)
     @given(odd_20_to_200_bits | odd_squares)
     def test_lucas_half_matches_sympy_on_large_odd_n(self, n):
         # odd squares too, which have no such P and must be screened out first
-        assert arith._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n)
+        assert _large._is_extra_strong_lucas_prp(n) == is_extra_strong_lucas_prp(n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=-(10**30), max_value=10**30), odd_20_to_200_bits)
     def test_jacobi_matches_sympy(self, a, n):
-        assert arith._jacobi(a, n) == sympy.jacobi_symbol(a, n)
+        assert _large._jacobi(a, n) == sympy.jacobi_symbol(a, n)
 
 
 class TestFactorize:
@@ -417,8 +421,8 @@ class TestFactorize:
 
     def test_p_minus_1_exponent_is_lcm_below_b1(self):
         # lcm(1 .. B1 - 1) is the product of each prime's largest power below B1
-        exponent, powers, *_ = arith._plan(arith._PM1_B1, arith._PM1_B2, arith._PM1_D)
-        assert powers == tuple(largest_power_below(p, arith._PM1_B1) for p in STAGE_1_PRIMES)
+        exponent, powers, *_ = _large._plan(_large._PM1_B1, _large._PM1_B2, _large._PM1_D)
+        assert powers == tuple(largest_power_below(p, _large._PM1_B1) for p in STAGE_1_PRIMES)
         assert exponent == math.prod(powers) == STAGE_1_EXPONENT
 
     @pytest.mark.parametrize("n", [
@@ -471,7 +475,7 @@ class TestFactorize:
         pytest.param(1920, 115200, 2310, 240, id="5-1920-2310"),
     ])
     def test_ecm_plan_covers_each_prime_past_stage_1_once(self, b1, b2, D, offsets):
-        exponent, powers, babies, k0, rows = arith._plan(b1, b2, D)
+        exponent, powers, babies, k0, rows = _large._plan(b1, b2, D)
         assert powers == tuple(largest_power_below(p, b1) for p in sympy.primerange(2, b1))
         assert exponent == math.lcm(*range(1, b1))
         assert len(babies) == offsets
@@ -486,9 +490,9 @@ class TestFactorize:
         def plan(*bounds):
             raise Asked(*bounds)  # stops the curve before any arithmetic
 
-        monkeypatch.setattr(arith, "_plan", plan)
+        monkeypatch.setattr(_large, "_plan", plan)
         with pytest.raises(Asked) as asked:
-            arith._ecm_curve(1019 * 1021, 6 + arith._ECM_CURVES * level)
+            _large._ecm_curve(1019 * 1021, 6 + _large._ECM_CURVES * level)
         assert asked.value.args == (b1, 60 * b1, D)
 
     def test_level_8_ecm_plan_build_stays_within_its_memory_bounds(self):
@@ -498,7 +502,7 @@ class TestFactorize:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            plan = arith._plan.__wrapped__(15360, 921600, 2310)  # built afresh, not from the cache
+            plan = _large._plan.__wrapped__(15360, 921600, 2310)  # built afresh, not from the cache
             kept, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -506,16 +510,17 @@ class TestFactorize:
         assert kept < 0.25 * 2**20
         assert peak < 2.5 * 2**20
 
-    def test_cli_import_leaves_the_p_minus_1_plan_unbuilt(self):
+    def test_cli_import_leaves_the_factoring_engine_unloaded(self):
+        # the engine (BPSW past the trial bound, P-1, ECM) is imported by the
+        # first number trial division does not decide, so its plans are unbuilt too
         src = Path(arith.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import gencong.cli, gencong.arith as a; "
-             "print(a._plan.cache_info().currsize)"],
+             "import sys, gencong.cli; print('gencong._large' in sys.modules)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
+        assert proc.stdout.split() == ["False"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STAGE_2_PRIMES),
@@ -604,7 +609,7 @@ class TestEcm:
         assert B * (A * A - 4) % p
         a24 = (A + 2) * pow(4, -1, p) % p
         for k in range(1, 501):
-            for j, (X, Z) in enumerate(arith._ladder(k, x0 * scale, scale, a24, p)):
+            for j, (X, Z) in enumerate(_large._ladder(k, x0 * scale, scale, a24, p)):
                 expected = affine_multiple(k + j, (x0, 1), A, B, p)  # [k]P, then [k+1]P
                 if expected is None:
                     assert Z % p == 0, (k, j)
@@ -645,28 +650,28 @@ class TestEcm:
                 kind, expected = "neither", 1
             else:
                 continue
-            assert arith._ecm_curve(p, sigma) == expected, (p, o)
+            assert _large._ecm_curve(p, sigma) == expected, (p, o)
             seen[kind] += 1
         assert seen["stage 1"] >= 10 and seen["stage 2"] >= 20 and seen["neither"] >= 1, seen
 
     def test_ecm_curve_singular_mod_a_prime_returns_that_prime(self):
         # sigma = 34 gives u = 34**2 - 5 = 1151, a prime, so the curve's
         # denominator 16 u**3 v has no inverse mod 1151 * 1153
-        assert arith._ecm_curve(1151 * 1153, 34) == 1151
+        assert _large._ecm_curve(1151 * 1153, 34) == 1151
 
     def test_every_product_of_two_primes_in_1009_1400_splits_within_4_curves(self):
         # from B1 = 120 on, one ladder over all of stage 1 would find both
         # primes on most curves; a gcd per prime power keeps them apart
         primes = tuple(sympy.primerange(1009, 1400))
         for p, q in itertools.combinations(primes, 2):
-            assert any(arith._ecm_curve(p * q, sigma) in (p, q) for sigma in range(6, 10)), (p, q)
+            assert any(_large._ecm_curve(p * q, sigma) in (p, q) for sigma in range(6, 10)), (p, q)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 13])
     def test_integer_root_is_exact_past_float_range(self, k):
         for r in (1009, 2**64 + 13, 3**700 + 2):
-            assert arith._iroot(r**k, k) == r
-            assert arith._iroot(r**k - 1, k) == r - 1
-            assert arith._iroot(r**k + 1, k) == r
+            assert _large._iroot(r**k, k) == r
+            assert _large._iroot(r**k - 1, k) == r - 1
+            assert _large._iroot(r**k + 1, k) == r
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(

@@ -354,6 +354,30 @@ class TestBatchReads:
                  for line in read]
         assert [line.removesuffix("\n") for line in lines] == text.removesuffix("\n").split("\n")
 
+    @pytest.mark.parametrize("encoding, bad", [
+        ("utf-16", b"\x00\xd8"),  # a lone high surrogate
+        ("utf-32", b"\x00\xd8\x00\x00"),  # a surrogate code point
+    ], ids=["utf-16", "utf-32"])
+    def test_a_bad_unit_anywhere_in_a_read_fails_only_its_own_line(self, capsys, monkeypatch,
+                                                                   encoding, bad):
+        # surrogateescape cannot escape the byte 00, so such a unit once
+        # stopped the batch with exit 2 and no record for its read
+        encode = codecs.getencoder(f"{encoding}-le")
+        bom = codecs.BOM_UTF16_LE if encoding == "utf-16" else codecs.BOM_UTF32_LE
+        middle = "2 3 7"
+        for at in range(len(middle) + 1):
+            before, after = encode(f"2 3 5\n{middle[:at]}")[0], encode(f"{middle[at:]}\n2 3 11\n")[0]
+            data = bom + before + bad + after
+            start = len(bom + before)
+            # in one read, and cut before, inside and after the bad unit
+            for pieces in [[data], *(_cut(data, cut) for cut in range(start, start + len(bad) + 1))]:
+                monkeypatch.setattr(sys, "stdin", _byte_stdin(pieces, encoding))
+                code, out, err = run_cli(capsys, "pow")
+                first, second, third = map(json.loads, out.splitlines())
+                assert (code, err) == (EXIT_USAGE, ""), (at, pieces)
+                assert (first["residue"], third["residue"]) == ("3", "8"), (at, pieces)
+                assert (second["line"], second["code"]) == (2, EXIT_USAGE), (at, pieces)
+
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
     def test_the_records_of_one_read_are_one_write_flushed_before_the_next_read(
             self, capsys, monkeypatch, encoding):
@@ -862,21 +886,41 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
-    @pytest.mark.parametrize("argv", [["pow", "2", "3", "5"], ["totient", "12"]],
-                             ids=["pow", "totient"])
-    def test_a_text_call_loads_no_parser_and_no_json(self, argv):
+    @pytest.mark.parametrize("argv, stdin", [
+        (["pow", "2", "3", "5"], ""),
+        (["totient", "12"], ""),
+        # moduli below 1009**2, whose factors trial division finds
+        (["pow"], "6 25604 105765\n2 3 1018080\n7 100 1018079\n-3 5 999983\n"),
+        (["verify", "--a", "-5..5", "--m", "1..30"], ""),
+    ], ids=["pow", "totient", "batch", "verify"])
+    def test_a_text_call_loads_no_parser_and_no_json(self, argv, stdin):
         # argparse's import (with gettext and locale) and parsers cost about
-        # 6 ms a call before any arithmetic; json is loaded for JSON output only
+        # 6 ms a call before any arithmetic; json is loaded for JSON output
+        # only, and the factoring engine for a number past the trial bound only
         src = Path(cli.__file__).resolve().parents[1]
         script = ("import sys; before = set(sys.modules); import gencong.cli; "
                   f"code = gencong.cli.main({argv!r}); loaded = set(sys.modules) - before; "
-                  "print(code, sorted(loaded & {'argparse', 'gettext', 'locale', 'json'}))")
+                  "print(code, sorted(loaded & {'argparse', 'gettext', 'locale', 'json', "
+                  "'gencong._large'}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=stdin,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_a_number_past_the_trial_bound_loads_the_factoring_engine(self):
+        # a product of two 60-bit primes, which ECM splits (CI's value)
+        src = Path(cli.__file__).resolve().parents[1]
+        script = ("import sys, gencong.cli; "
+                  "code = gencong.cli.main(['totient', '880808797639999844269983540274462313']); "
+                  "print(code, 'gencong._large' in sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines() == ["880808797639999842380711755012097280", "0 True"]
 
     def test_python_dash_m(self):
         proc = subprocess.run(
@@ -953,6 +997,31 @@ class TestModuleEntryPoint:
         assert [(p.returncode, p.stderr) for p in outputs] == [(EXIT_DOMAIN, b"")] * 2
         assert outputs[1].stdout.decode(encoding) == outputs[0].stdout.decode()
         assert outputs[0].stdout.count(b"\n") == 4
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_a_stdin_with_no_bom_is_read_in_native_byte_order(self, encoding):
+        # as bytes.decode reads it; such a stdin once ended at once with exit 2
+        native = f"{encoding}-{'le' if sys.byteorder == 'little' else 'be'}"
+        stdin = "6 25604 105765\n\n5 3 0\n2 3 7\n"
+        outputs = [subprocess.run([sys.executable, "-m", "gencong", "pow"],
+                                  input=stdin.encode(name), capture_output=True,
+                                  env={**os.environ, "PYTHONIOENCODING": io_encoding})
+                   for name, io_encoding in (("utf-8", "utf-8"), (native, encoding))]
+        assert [(p.returncode, p.stderr) for p in outputs] == [(EXIT_DOMAIN, b"")] * 2
+        assert outputs[1].stdout.decode(encoding) == outputs[0].stdout.decode()
+        assert outputs[0].stdout.count(b"\n") == 3
+
+    def test_batch_answers_the_lines_after_an_undecodable_utf_16_unit(self):
+        # 00 d8 is a lone surrogate, whose byte 00 surrogateescape cannot
+        # escape: it once stopped the batch with exit 2
+        stdin = (codecs.BOM_UTF16_LE + "2 3 5\n".encode("utf-16-le") + b"\x00\xd8"
+                 + "\n2 3 7\n".encode("utf-16-le"))
+        proc = subprocess.run([sys.executable, "-m", "gencong", "pow"], input=stdin,
+                              capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-16"})
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")
+        first, second, third = map(json.loads, proc.stdout.decode("utf-16").splitlines())
+        assert (first["residue"], third["residue"]) == ("3", "1")
+        assert (second["line"], second["code"]) == (2, EXIT_USAGE)
 
     @pytest.mark.parametrize("command, code, err", [
         ("pow 2 3 5 >&-", EXIT_BROKEN_PIPE, ""),
